@@ -644,18 +644,20 @@ fn serve_child(socket: &str, dir: &str) -> ! {
 }
 
 /// Serving hot path: this binary re-executed as a server subprocess
-/// (batched dispatch K=8 and the 200 µs group-commit window at their
-/// defaults), driven by 8 concurrent clients each doing synchronous
-/// `submit_and_wait` round-trips over the unix socket — the same shape
-/// and process boundary as the CI loadgen gate. A warmup burst primes the child's
-/// scenario cache before best-of-`REPS` measured bursts; journal and
+/// (batched dispatch K=8 and the 200 µs rate-gated group-commit
+/// window at their defaults), driven by 8 concurrent clients each
+/// doing synchronous `submit_and_wait` round-trips over the unix
+/// socket — the same shape and process boundary as the CI loadgen
+/// gate. A warmup burst primes the child's scenario cache before
+/// best-of-`REPS` measured bursts; journal and
 /// dispatch ratios come from diffing the server's `Status` counters
 /// around the measured window, so warmup traffic cannot dilute them.
 ///
-/// `serve_jobs_per_s` carries the ≥180 absolute floor (2× the PR 6
-/// one-fsync-per-accept serving baseline of ~90 jobs/s on the
-/// reference box) and `fsyncs_per_accept` the <1.0 floor — the proof
-/// that accepts are actually sharing commit windows under load.
+/// `serve_jobs_per_s` carries the ≥180 absolute floor (2× the ~90
+/// jobs/s the server managed when every accept paid its own fsync)
+/// and `fsyncs_per_accept` the <1.0 floor — the proof that the rate
+/// gate holds the window open under a burst, so accepts share
+/// commits there.
 fn bench_serve() -> ServeBench {
     const CLIENTS: usize = 8;
     const JOBS_PER_CLIENT: usize = 20;

@@ -195,6 +195,10 @@ pub struct Fleet {
     done: AtomicBool,
     /// Duplicate submits answered from the coordinator idem map.
     dedup_hits: AtomicU64,
+    /// Set when a client-path call got no usable answer from a worker;
+    /// wakes the supervisor before its next heartbeat.
+    kick: Mutex<bool>,
+    kicked: Condvar,
 }
 
 impl Fleet {
@@ -257,6 +261,8 @@ impl Fleet {
             stop: AtomicBool::new(false),
             done: AtomicBool::new(false),
             dedup_hits: AtomicU64::new(0),
+            kick: Mutex::new(false),
+            kicked: Condvar::new(),
         });
         for i in 0..n {
             let child = fleet.spawn_worker(i)?;
@@ -382,6 +388,31 @@ impl Fleet {
         g.shards[i]
             .breaker
             .record(success, Instant::now(), threshold, cooldown);
+    }
+
+    /// A client-path call got no usable answer from shard `i`'s
+    /// worker: count it against the shard's breaker and wake the
+    /// supervisor, so a crashed worker is restarted now rather than at
+    /// the next heartbeat. Client paths pace their own retries, so
+    /// kicks cannot spin the supervisor.
+    fn report_shard_failure(&self, i: usize) {
+        self.record_shard(i, false);
+        *self.kick.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.kicked.notify_one();
+    }
+
+    /// Wait one heartbeat, or until a client-path call kicks.
+    fn await_tick(&self) {
+        let mut kick = self.kick.lock().unwrap_or_else(|e| e.into_inner());
+        if !*kick {
+            let beat = Duration::from_millis(self.opts.heartbeat_ms);
+            kick = self
+                .kicked
+                .wait_timeout(kick, beat)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+        *kick = false;
     }
 
     /// Supervisor tick body: reap exited children, heartbeat the rest.
@@ -633,7 +664,7 @@ impl Fleet {
                 }
                 Ok(Response::Rejected(r)) => return Err(r),
                 Ok(_) | Err(_) => {
-                    self.record_shard(si, false);
+                    self.report_shard_failure(si);
                     *failures.entry(si).or_insert(0) += 1;
                     last_reject = Reject::Unavailable(format!(
                         "shard {si} not answering (attempt {})",
@@ -787,7 +818,7 @@ impl Fleet {
                     // supervisor; either path revives or rehashes, and
                     // the next round re-reads the mapping.
                     if !self.ping(si) {
-                        self.record_shard(si, false);
+                        self.report_shard_failure(si);
                         std::thread::sleep(Duration::from_millis(self.opts.heartbeat_ms));
                     }
                 }
@@ -870,7 +901,7 @@ impl Fleet {
                 .name("hq-fleet-supervisor".to_string())
                 .spawn(move || {
                     while !fleet.done.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(fleet.opts.heartbeat_ms));
+                        fleet.await_tick();
                         fleet.supervise_once();
                     }
                 })
@@ -903,7 +934,12 @@ impl Fleet {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(25));
                 }
-                Err(e) => eprintln!("fleet: accept: {e}"),
+                Err(e) => {
+                    // Persistent errors (EMFILE) fail every call; back
+                    // off instead of spinning a core on them.
+                    eprintln!("fleet: accept: {e}");
+                    std::thread::sleep(Duration::from_millis(10));
+                }
             }
         }
         self.lock().shutting_down = true;

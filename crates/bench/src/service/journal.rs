@@ -415,16 +415,11 @@ impl Journal {
     }
 
     /// Mark a whole dispatch batch finished: every `D` record in one
-    /// buffered write, preserving per-lane record order, plus one
-    /// `sync_data` when `sync` is set. Losing an unsynced `D` is
-    /// benign — the job replays to a byte-identical artifact — so
-    /// group-commit servers pass `sync: false` and let the next commit
-    /// window (or the shutdown seal) make the marks durable for free.
-    pub fn done_batch(
-        &mut self,
-        marks: &[(u64, &str, Option<u64>)],
-        sync: bool,
-    ) -> std::io::Result<()> {
+    /// buffered write, preserving per-lane record order, with no
+    /// `sync_data`. Losing an unsynced `D` is benign — the job replays
+    /// to a byte-identical artifact — so the marks become durable for
+    /// free with the next accept commit or the shutdown seal.
+    pub fn done_batch(&mut self, marks: &[(u64, &str, Option<u64>)]) -> std::io::Result<()> {
         let mut buf = String::with_capacity(marks.len() * 32);
         for (id, status, digest) in marks {
             match digest {
@@ -432,14 +427,7 @@ impl Journal {
                 None => buf.push_str(&encode_record(&format!("D {id} {status}"))),
             }
         }
-        self.guard(|j| {
-            io::write_all(&mut j.file, &j.path, buf.as_bytes())?;
-            if sync {
-                io::sync_data(&j.file, &j.path)
-            } else {
-                Ok(())
-            }
-        })
+        self.guard(|j| io::write_all(&mut j.file, &j.path, buf.as_bytes()))
     }
 
     /// A duplicate handle onto the journal file for `sync_data` calls

@@ -71,7 +71,7 @@ use std::net::TcpStream;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -111,10 +111,12 @@ pub struct ServeOptions {
     /// Max queued jobs a worker drains per wakeup and runs as one
     /// K-lane scenario batch. 1 reproduces solo dispatch exactly.
     pub dispatch_batch: usize,
-    /// Group-commit window in microseconds: concurrent accept records
-    /// staged within one window share a single fsync, with `accepted`
-    /// replies released only after it returns. 0 restores one
-    /// synchronous fsync per accept.
+    /// Group-commit window in microseconds: while accept records
+    /// arrive closer together than this (an EWMA of their gaps), a
+    /// commit holds the window open so concurrent records share one
+    /// fsync; spaced arrivals sync at once. `accepted` replies are
+    /// released only after the covering fsync returns. 0 never
+    /// lingers.
     pub commit_window_us: u64,
 }
 
@@ -331,8 +333,9 @@ impl Breaker {
 // ---------------------------------------------------------------------
 
 /// Accept-side commit bookkeeping: sequence numbers of journal records
-/// staged (written, unsynced) and made durable, plus the fsync
-/// counters `--status` reports.
+/// staged (written, unsynced) and made durable, the arrival-rate
+/// estimate that gates the commit window, plus the fsync counters
+/// `--status` reports.
 #[derive(Default)]
 struct FlushState {
     /// Records staged into the journal so far. Bumped under the server
@@ -341,25 +344,43 @@ struct FlushState {
     written_seq: u64,
     /// Highest staged record covered by a completed `sync_data`.
     flushed_seq: u64,
-    /// A leader currently holds the commit window open.
+    /// A leader currently holds the commit window open or is syncing.
     flusher_active: bool,
     /// Records at or below this sequence saw their covering fsync
     /// fail; their submitters answer a rejection, never `accepted`.
     failed_seq: u64,
     fail_msg: String,
+    /// When the previous record was staged.
+    last_stage: Option<Instant>,
+    /// EWMA of the gaps between staged records, each sample clamped at
+    /// [`GAP_CLAMP`] windows. Starts at zero, so a fresh server
+    /// lingers on its first record.
+    gap_ewma: Duration,
     fsyncs: u64,
     window_flushes: u64,
     solo_flushes: u64,
 }
 
-/// Group commit for journal `A` records: concurrent submitters stage
-/// their records without fsyncing and wait here; the first waiter
-/// becomes the *leader*, holds the window open, then issues one
-/// `sync_data` covering every record staged meanwhile. `accepted` is
-/// released only after the covering fsync returns, so accepted⇒durable
-/// holds by construction, and a lone submitter commits at window
-/// expiry. Lock order is state → flush: the leader never takes the
-/// state lock, and stagers take the flush lock only briefly while
+/// Weight of the newest gap sample in [`FlushState::gap_ewma`] is
+/// `1 / GAP_EWMA_DIV`.
+const GAP_EWMA_DIV: u32 = 8;
+/// Gap samples are clamped at this many commit windows, so one idle
+/// spell lifts the estimate by at most `2 / GAP_EWMA_DIV` windows and
+/// a new burst re-arms the window after a handful of accepts.
+const GAP_CLAMP: u32 = 2;
+
+/// Group commit for journal `A` records: submitters stage their
+/// records without fsyncing and wait here; the first waiter becomes
+/// the *leader* and issues one `sync_data` covering every record
+/// staged by then. The leader holds the window open first only when
+/// company is likely: when the recent gap between staged records
+/// (an EWMA) is below the window. Spaced traffic, where no follower
+/// would arrive in time, syncs at once instead of sleeping out a
+/// window nobody shares; records staged during that sync ride the next
+/// leader's. A zero window never lingers. `accepted` is released only
+/// after the covering fsync returns, so accepted⇒durable holds by
+/// construction. Lock order is state → flush: the leader never takes
+/// the state lock, and stagers take the flush lock only briefly while
 /// already holding the state lock.
 struct GroupCommit {
     flush: Mutex<FlushState>,
@@ -390,33 +411,18 @@ impl GroupCommit {
         self.flush.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Register one staged record. Call under the server state lock,
-    /// immediately after the unsynced journal write.
+    /// Register one staged record and fold its arrival gap into the
+    /// rate estimate. Call under the server state lock, immediately
+    /// after the unsynced journal write.
     fn stage(&self) -> u64 {
+        let now = Instant::now();
         let mut s = self.lock();
+        if let Some(last) = s.last_stage.replace(now) {
+            let gap = now.duration_since(last).min(self.window * GAP_CLAMP);
+            s.gap_ewma = s.gap_ewma - s.gap_ewma / GAP_EWMA_DIV + gap / GAP_EWMA_DIV;
+        }
         s.written_seq += 1;
         s.written_seq
-    }
-
-    /// Every record staged so far just became durable through someone
-    /// else's `sync_data` on the same file (a worker's batched done
-    /// marks). Call under the server state lock, which freezes
-    /// `written_seq` for the duration of that sync.
-    fn note_sync(&self) {
-        let mut s = self.lock();
-        s.fsyncs += 1;
-        s.flushed_seq = s.written_seq;
-        self.flushed.notify_all();
-    }
-
-    /// Count one synchronous per-accept fsync (`--commit-window-us 0`),
-    /// keeping the sequence counters coherent.
-    fn note_solo_accept(&self) {
-        let mut s = self.lock();
-        s.fsyncs += 1;
-        s.solo_flushes += 1;
-        s.written_seq += 1;
-        s.flushed_seq = s.written_seq;
     }
 
     /// Block until record `seq` is durable; `Err` if its covering
@@ -435,24 +441,18 @@ impl GroupCommit {
                 continue;
             }
             s.flusher_active = true;
+            let linger = s.gap_ewma < self.window;
             drop(s);
             // Hold the window open so concurrent submitters can pile
-            // their records onto this commit.
-            if !self.window.is_zero() {
+            // their records onto this commit — but only when they
+            // have recently been arriving closer together than that.
+            if linger {
                 std::thread::sleep(self.window);
             }
-            let mut pre = self.lock();
-            let target = pre.written_seq;
-            let covered = target.saturating_sub(pre.flushed_seq);
-            if covered == 0 {
-                // A done-mark sync covered everything while the window
-                // was open; nothing left to flush.
-                pre.flusher_active = false;
-                self.flushed.notify_all();
-                s = pre;
-                continue;
-            }
-            drop(pre);
+            let (target, covered) = {
+                let pre = self.lock();
+                (pre.written_seq, pre.written_seq - pre.flushed_seq)
+            };
             let res = crate::util::io::sync_data(&self.file, &self.path);
             let mut post = self.lock();
             post.fsyncs += 1;
@@ -465,7 +465,7 @@ impl GroupCommit {
                 post.failed_seq = post.failed_seq.max(target);
                 post.fail_msg = e.to_string();
             }
-            post.flushed_seq = post.flushed_seq.max(target);
+            post.flushed_seq = target;
             post.flusher_active = false;
             self.flushed.notify_all();
             s = post;
@@ -559,8 +559,57 @@ impl RecoveryReport {
 
 static TERM: AtomicBool = AtomicBool::new(false);
 
+/// Address of the socket the latest [`Server::run`] accept loop
+/// blocks on, or null. The SIGTERM handler connects to it to wake that
+/// `accept`: the signal may land on any thread, so an `EINTR` cannot
+/// be relied on to reach the loop. Each registration is leaked (110
+/// bytes per `run`), so the handler never reads freed memory.
+static WAKE_ADDR: AtomicPtr<SockAddrUn> = AtomicPtr::new(std::ptr::null_mut());
+
+// No libc crate in the vendor set; declare the libc symbols directly,
+// with Linux's values for the constants below.
+const SIGTERM: i32 = 15;
+const AF_UNIX: u16 = 1;
+const SOCK_STREAM: i32 = 1;
+const SOCK_NONBLOCK: i32 = 0o4000;
+
+/// Linux `struct sockaddr_un`.
+#[repr(C)]
+struct SockAddrUn {
+    family: u16,
+    path: [u8; 108],
+}
+
+extern "C" {
+    fn signal(signum: i32, handler: usize) -> usize;
+    fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+    fn connect(fd: i32, addr: *const SockAddrUn, len: u32) -> i32;
+    fn close(fd: i32) -> i32;
+    fn __errno_location() -> *mut i32;
+}
+
 extern "C" fn on_term(_sig: i32) {
     TERM.store(true, Ordering::SeqCst);
+    let addr = WAKE_ADDR.load(Ordering::SeqCst);
+    if addr.is_null() {
+        return;
+    }
+    // Async-signal-safe calls only. The socket is nonblocking so a
+    // full backlog cannot park the handler, and errno is restored for
+    // whatever call the signal interrupted.
+    // SAFETY: `addr` came from `Box::into_raw` in `register_term_wake`
+    // and is never freed, so it points at a live, NUL-terminated
+    // `sockaddr_un` of the length passed; `__errno_location` returns
+    // this thread's errno slot.
+    unsafe {
+        let errno = *__errno_location();
+        let fd = socket(i32::from(AF_UNIX), SOCK_STREAM | SOCK_NONBLOCK, 0);
+        if fd >= 0 {
+            connect(fd, addr, std::mem::size_of::<SockAddrUn>() as u32);
+            close(fd);
+        }
+        *__errno_location() = errno;
+    }
 }
 
 /// Has SIGTERM been delivered to this process? Shared by the
@@ -570,14 +619,27 @@ pub(crate) fn term_requested() -> bool {
 }
 
 pub(crate) fn install_sigterm() {
-    // No libc crate in the vendor set; declare the libc symbol
-    // directly. SIGTERM is 15 everywhere this repo runs.
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
+    // SAFETY: `on_term` has the `void (*)(int)` ABI `signal` expects
+    // and only touches atomics and async-signal-safe libc calls.
     unsafe {
-        signal(15, on_term as extern "C" fn(i32) as usize);
+        signal(SIGTERM, on_term as extern "C" fn(i32) as usize);
     }
+}
+
+/// Point the SIGTERM handler's wake-up connect at `socket`. A path too
+/// long for a `sockaddr_un` is skipped: binding it has already failed.
+fn register_term_wake(socket: &Path) {
+    let bytes = socket.as_os_str().as_encoded_bytes();
+    let mut addr = Box::new(SockAddrUn {
+        family: AF_UNIX,
+        path: [0; 108],
+    });
+    // Leave room for the trailing NUL.
+    if bytes.len() >= addr.path.len() {
+        return;
+    }
+    addr.path[..bytes.len()].copy_from_slice(bytes);
+    WAKE_ADDR.store(Box::into_raw(addr), Ordering::SeqCst);
 }
 
 /// The scenario server. Construct with [`Server::new`] (which performs
@@ -841,36 +903,7 @@ impl Server {
         let tenant = spec.tenant.clone();
         // Journal first — the job must be durable before any worker
         // can see it, or a crash between dequeue and completion would
-        // lose it.
-        if self.opts.commit_window_us == 0 {
-            // Synchronous commit: one fsync per accept.
-            if let Err(e) = g.journal.accept(id, &spec) {
-                if let Some(b) = g.breakers.get_mut(&key) {
-                    b.abort_probe(now);
-                }
-                g.rejected += 1;
-                return Response::Rejected(Reject::Unavailable(format!(
-                    "journal append failed: {e}"
-                )));
-            }
-            self.gc.note_solo_accept();
-            g.next_id += 1;
-            if let Some(k) = idem_key {
-                g.idem.insert(k, id);
-            }
-            g.tenants.push(
-                &tenant,
-                QueuedJob {
-                    id,
-                    spec,
-                    accepted_at: now,
-                },
-            );
-            self.accepts.fetch_add(1, Ordering::Relaxed);
-            self.cond.notify_all();
-            return Response::Accepted(id);
-        }
-        // Group commit: stage the record now — write order matches id
+        // lose it. Stage the record now — write order matches id
         // order, both assigned under the state lock — then wait for a
         // covering fsync *outside* the lock so concurrent submitters
         // coalesce into one sync. Until then the job holds an
@@ -1073,21 +1106,15 @@ impl Server {
             }
             // One buffered write marks the whole batch done. Done
             // marks owe no durability (a lost `D` replays the job to a
-            // byte-identical artifact), so under group commit the
-            // bytes ride to disk with the next commit window or the
-            // shutdown seal instead of costing a worker fsync here.
-            // With the window off, the solo-path contract stands: sync
-            // now, and the covering fsync releases nothing because no
-            // submitter ever stages.
-            let sync_now = self.opts.commit_window_us == 0;
-            // A failed done-mark write latches the journal failed (the
-            // guard in `done_batch` does it); subsequent submits answer
-            // `unavailable`. The completions themselves stand — a lost
-            // `D` only costs a harmless replay.
-            match g.journal.done_batch(&marks, sync_now) {
-                Ok(()) if sync_now => self.gc.note_sync(),
-                Ok(()) => {}
-                Err(e) => eprintln!("service: journal done marks failed, journal sealed: {e}"),
+            // byte-identical artifact), so the bytes ride to disk with
+            // the next accept commit or the shutdown seal instead of
+            // costing a worker fsync here. A failed write latches the
+            // journal failed (the guard in `done_batch` does it);
+            // subsequent submits answer `unavailable`. The completions
+            // themselves stand — a lost `D` only costs a harmless
+            // replay.
+            if let Err(e) = g.journal.done_batch(&marks) {
+                eprintln!("service: journal done marks failed, journal sealed: {e}");
             }
             for (job, done, _, _) in settled {
                 g.results.insert(job.id, done);
@@ -1197,9 +1224,7 @@ impl Server {
         }
         let listener =
             UnixListener::bind(socket).map_err(|e| format!("bind {}: {e}", socket.display()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("nonblocking listener: {e}"))?;
+        register_term_wake(socket);
         install_sigterm();
         let workers: Vec<_> = (0..self.opts.workers.max(1))
             .map(|i| {
@@ -1216,19 +1241,23 @@ impl Server {
             self.opts.workers.max(1),
             self.opts.queue_depth
         );
-        while !TERM.load(Ordering::SeqCst) && !self.stop.load(Ordering::SeqCst) {
+        // A blocking accept: SIGTERM and a `shutdown` connection wake
+        // it by connecting to the socket after setting the flags
+        // checked here.
+        while !term_requested() && !self.stop.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
                     let server = Arc::clone(self);
                     let _ = std::thread::Builder::new()
                         .name("hq-service-conn".to_string())
                         .spawn(move || server.handle_conn(stream));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
+                Err(e) => {
+                    // Persistent errors (EMFILE) fail every call; back
+                    // off instead of spinning a core on them.
+                    eprintln!("service: accept: {e}");
+                    std::thread::sleep(Duration::from_millis(10));
                 }
-                Err(e) => eprintln!("service: accept: {e}"),
             }
         }
         // Drain: stop admitting, let workers finish what is queued and
@@ -1261,6 +1290,12 @@ impl Server {
         let mut reader = BufReader::new(read_half);
         let mut writer = stream;
         protocol::serve_frames(&mut reader, &mut writer, |req| self.handle(req));
+        if self.stop.load(Ordering::SeqCst) {
+            // Wake the blocking accept loop so it sees `stop` — only
+            // now, after a `shutdown` request's `Bye` went out, since
+            // the process exits soon after the loop does.
+            let _ = UnixStream::connect(&self.opts.socket);
+        }
     }
 }
 
@@ -1716,6 +1751,92 @@ mod tests {
         b.abort_probe(at(t0, 60));
         // Without abort_probe this would be Err(1) forever.
         assert_eq!(b.admit(at(t0, 61)), Ok(()));
+    }
+
+    /// Commit window of the rate-gate tests: wide enough that
+    /// scheduling noise cannot blur "lingered" into "did not".
+    const GC_WINDOW: Duration = Duration::from_millis(50);
+
+    /// A group commit over an unlinked scratch file, on tmpfs when the
+    /// host has one so the fsync itself costs microseconds.
+    fn scratch_commit(name: &str) -> GroupCommit {
+        let shm = Path::new("/dev/shm");
+        let dir = if shm.is_dir() {
+            shm.to_path_buf()
+        } else {
+            std::env::temp_dir()
+        };
+        let path = dir.join(format!("hq-gc-{}-{name}", std::process::id()));
+        let file = std::fs::File::create(&path).expect("scratch journal");
+        std::fs::remove_file(&path).expect("unlink scratch journal");
+        GroupCommit::new(file, path, GC_WINDOW)
+    }
+
+    #[test]
+    fn group_commit_lingers_on_a_fresh_servers_first_record() {
+        let gc = scratch_commit("fresh");
+        let seq = gc.stage();
+        let t = Instant::now();
+        gc.wait_durable(seq).expect("durable");
+        assert!(
+            t.elapsed() >= GC_WINDOW,
+            "the first record must hold the window open, waited {:?}",
+            t.elapsed()
+        );
+        assert_eq!(gc.counters(), (1, 0, 1));
+    }
+
+    #[test]
+    fn group_commit_skips_the_window_for_spaced_arrivals() {
+        let gc = scratch_commit("spaced");
+        // Gaps of two windows (the clamp) lift the estimate past one
+        // window within seven samples; the early records still linger.
+        for _ in 0..8 {
+            gc.wait_durable(gc.stage()).expect("durable");
+            std::thread::sleep(GC_WINDOW * 2);
+        }
+        let (fsyncs, windows, solos) = gc.counters();
+        let seq = gc.stage();
+        let t = Instant::now();
+        gc.wait_durable(seq).expect("durable");
+        assert!(
+            t.elapsed() < GC_WINDOW / 2,
+            "a lone record after spaced arrivals must not sleep out the window, waited {:?}",
+            t.elapsed()
+        );
+        assert_eq!(gc.counters(), (fsyncs + 1, windows, solos + 1));
+    }
+
+    #[test]
+    fn group_commit_shares_one_fsync_after_tight_arrivals_and_an_idle_spell() {
+        let gc = Arc::new(scratch_commit("tight"));
+        let mut last = 0;
+        for _ in 0..8 {
+            last = gc.stage();
+        }
+        gc.wait_durable(last).expect("durable");
+        // One long pause must not switch lingering off: its gap sample
+        // is clamped at two windows.
+        std::thread::sleep(GC_WINDOW * 10);
+        let (fsyncs, windows, solos) = gc.counters();
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let stagers: Vec<_> = (0..4)
+            .map(|_| {
+                let (gc, start) = (Arc::clone(&gc), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    gc.wait_durable(gc.stage())
+                })
+            })
+            .collect();
+        for h in stagers {
+            h.join().expect("stager").expect("durable");
+        }
+        assert_eq!(
+            gc.counters(),
+            (fsyncs + 1, windows + 1, solos),
+            "four concurrent stagers must share one window flush"
+        );
     }
 
     #[test]

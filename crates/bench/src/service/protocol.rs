@@ -561,8 +561,9 @@ pub struct StatusReport {
     pub fsyncs: u64,
     /// Accept-side commits whose fsync covered ≥ 2 staged records.
     pub window_flushes: u64,
-    /// Accept-side commits that covered exactly one record (a lone
-    /// submitter at window expiry, or `--commit-window-us 0`).
+    /// Accept-side commits that covered exactly one record: a spaced
+    /// accept synced without lingering, or a window nobody else
+    /// joined.
     pub solo_flushes: u64,
     /// Scenario-cache entries that were present on disk but failed
     /// integrity verification (corrupt, not merely missing). Each one

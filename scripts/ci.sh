@@ -186,7 +186,7 @@ HQ=target/release/hyperq
 SVC_DIR="$(mktemp -d)"
 SOCK="$SVC_DIR/hq.sock"
 HQ_RESULTS="$SVC_DIR" "$HQ" serve --socket "$SOCK" --workers 1 --queue-depth 16 \
-    --dispatch-batch 8 --commit-window-us 200 >"$SVC_DIR/serve.log" 2>&1 &
+    --dispatch-batch 8 >"$SVC_DIR/serve.log" 2>&1 &
 SRV_PID=$!
 for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.1; done
 [ -S "$SOCK" ] || { echo "FAIL: server never bound $SOCK"; cat "$SVC_DIR/serve.log"; exit 1; }
@@ -266,7 +266,7 @@ fresh_bin hq-bench loadgen
 THR_DIR="$(mktemp -d -p /dev/shm 2>/dev/null || mktemp -d)"
 THR_SOCK="$THR_DIR/hq.sock"
 HQ_RESULTS="$THR_DIR" "$HQ" serve --socket "$THR_SOCK" --workers 2 --queue-depth 64 \
-    --dispatch-batch 8 --commit-window-us 200 >"$THR_DIR/serve.log" 2>&1 &
+    --dispatch-batch 8 >"$THR_DIR/serve.log" 2>&1 &
 THR_PID=$!
 for _ in $(seq 1 100); do [ -S "$THR_SOCK" ] && break; sleep 0.1; done
 [ -S "$THR_SOCK" ] || { echo "FAIL: throughput server never bound $THR_SOCK"; cat "$THR_DIR/serve.log"; exit 1; }
@@ -321,7 +321,7 @@ FLEET_TMP="$(mktemp -d)"
 FLEET_DIR="$FLEET_TMP/fleet"
 HQ_RESULTS="$FLEET_TMP/coord-results" "$HQ" serve --tcp 127.0.0.1:0 --fleet 3 \
     --fleet-dir "$FLEET_DIR" --heartbeat-ms 100 \
-    --dispatch-batch 8 --commit-window-us 200 >"$FLEET_TMP/fleet.log" 2>&1 &
+    --dispatch-batch 8 >"$FLEET_TMP/fleet.log" 2>&1 &
 FLEET_PID=$!
 for _ in $(seq 1 300); do [ -s "$FLEET_DIR/addr" ] && break; sleep 0.1; done
 [ -s "$FLEET_DIR/addr" ] || { echo "FAIL: coordinator never published its address"; cat "$FLEET_TMP/fleet.log"; exit 1; }
@@ -373,7 +373,7 @@ echo "==> multi-tenant overload gate (flood vs paced, kill -9 mid-backlog)"
 OVL_DIR="$(mktemp -d)"
 OVL_SOCK="$OVL_DIR/hq.sock"
 HQ_RESULTS="$OVL_DIR" "$HQ" serve --socket "$OVL_SOCK" --workers 2 --queue-depth 32 \
-    --tenant-max-queued 4 --dispatch-batch 8 --commit-window-us 200 \
+    --tenant-max-queued 4 --dispatch-batch 8 \
     >"$OVL_DIR/serve.log" 2>&1 &
 OVL_PID=$!
 for _ in $(seq 1 100); do [ -S "$OVL_SOCK" ] && break; sleep 0.1; done

@@ -199,8 +199,9 @@ pub struct Cli {
     /// Jobs a worker drains per wakeup as one K-lane batch
     /// (`serve --dispatch-batch`, 1 = solo dispatch).
     pub dispatch_batch: usize,
-    /// Group-commit window in µs (`serve --commit-window-us`,
-    /// 0 = one fsync per accept).
+    /// Group-commit window in µs (`serve --commit-window-us`), held
+    /// open only while accepts arrive closer together than it
+    /// (0 = never linger).
     pub commit_window_us: u64,
     /// Journal file to dump (`journal inspect FILE`).
     pub journal_file: Option<String>,
