@@ -26,6 +26,7 @@ use hyperq_core::harness::{
 use hyperq_core::metrics::improvement;
 use hyperq_core::ordering::ScheduleOrder;
 use hyperq_core::report::{pct, Table};
+use std::sync::Arc;
 
 /// Homogeneous NA = NS scaling per benchmark.
 pub fn homogeneous_scaling(scale: Scale) -> ExperimentReport {
@@ -218,12 +219,16 @@ pub fn heterogeneity_study(scale: Scale) -> ExperimentReport {
 
 /// [`hyperq_core::autosched::BatchRunner`] backed by the batched
 /// scenario cache: candidate schedules evaluate as lanes of one merged
-/// event loop, warm candidates come straight from the cache.
+/// event loop, warm candidates come straight from the cache. The
+/// scheduler keeps owned outcomes, so each shared one is copied out.
 fn scenario_batch_runner(
     cfg: &RunConfig,
     lanes: &[Vec<AppSpec>],
 ) -> Vec<Result<RunOutcome, SimError>> {
     run_scenario_batch(cfg, lanes)
+        .into_iter()
+        .map(|r| r.map(Arc::unwrap_or_clone))
+        .collect()
 }
 
 /// §VI future work: the greedy dynamic scheduler vs canonical orders.

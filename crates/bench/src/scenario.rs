@@ -9,8 +9,15 @@
 //! the suite targets. [`run_scenario`] memoizes [`run_schedule`] behind
 //! a structural [`ScenarioKey`]:
 //!
-//! * an **in-process memo map** serves repeats within one suite run
-//!   (e.g. the serialized baseline shared by several figures), and
+//! * an **in-process memo** serves repeats within one process (e.g. the
+//!   serialized baseline shared by several figures, or a warm job pool
+//!   on a long-running server). It is a least-recently-used map bounded
+//!   by [`MEMO_BUDGET`] bytes of estimated outcome footprint, and hands
+//!   outcomes out as shared [`Arc<RunOutcome>`]s: a hit is a refcount
+//!   bump, never a deep copy, and an outcome a caller holds stays valid
+//!   after its entry is evicted. An evicted scenario comes back from
+//!   the disk layer (or, in `mem` mode, is re-simulated) byte-identical,
+//!   so eviction is invisible to callers; and
 //! * an **on-disk cache** under `<results>/.scenario-cache/` serves
 //!   repeats across processes (a re-run suite, `--resume`, CI smoke
 //!   runs). Entries are written atomically via
@@ -53,7 +60,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Simulator-semantics stamp folded into every [`ScenarioKey`]. Bump it
 /// whenever a change alters *any* simulated result (event ordering,
@@ -111,13 +118,187 @@ fn cache_mode() -> CacheMode {
     }
 }
 
-/// Memo entries keep the preimage so a 64-bit hash collision is
-/// detected (and degrades to a miss) instead of aliasing two scenarios.
-type Memo = Mutex<HashMap<u64, (String, RunOutcome)>>;
+/// Byte budget of the in-process memo, in estimated outcome footprint
+/// (see [`footprint`]). After every insert the least-recently-used
+/// entries are evicted until the memo is back at or under it.
+///
+/// Sized from two measurements. The quick experiment suite's whole
+/// memo working set is 158 entries, ~14.6 MB, so the suite never evicts
+/// and keeps every in-run repeat a memo hit with 2× headroom. A served
+/// cold job (gaussian+nn+nw+srad on 8 streams) is ~130 KB, nearly all
+/// of it three ~2.7k-point time series, so the budget caps a
+/// long-running server at ~250 such outcomes however many unique
+/// scenarios it serves.
+pub const MEMO_BUDGET: usize = 32 << 20;
 
-fn memo() -> &'static Memo {
-    static MEMO: OnceLock<Memo> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
+/// One memo entry. The preimage is kept so a 64-bit hash collision is
+/// detected (and degrades to a miss) instead of aliasing two scenarios.
+struct MemoEntry {
+    pre: String,
+    out: Arc<RunOutcome>,
+    bytes: usize,
+    last_used: u64,
+}
+
+/// Byte-budgeted LRU of shared outcomes. Recency is a logical clock
+/// bumped on every hit and insert; eviction scans linearly for the
+/// oldest entry. A full memo holds ~250 cold serving outcomes or a few
+/// thousand small ones, so a scan costs microseconds, paid only by an
+/// insert, which follows a simulation or a disk read.
+struct Memo {
+    map: HashMap<u64, MemoEntry>,
+    budget: usize,
+    bytes: usize,
+    clock: u64,
+    evictions: u64,
+}
+
+impl Memo {
+    fn new(budget: usize) -> Self {
+        Memo {
+            map: HashMap::new(),
+            budget,
+            bytes: 0,
+            clock: 0,
+            evictions: 0,
+        }
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// The outcome stored for `key` if its preimage matches, marked as
+    /// most recently used.
+    fn get(&mut self, key: u64, pre: &str) -> Option<Arc<RunOutcome>> {
+        let now = self.tick();
+        let e = self.map.get_mut(&key).filter(|e| e.pre == pre)?;
+        e.last_used = now;
+        Some(Arc::clone(&e.out))
+    }
+
+    /// Whether `key` holds this preimage, without touching recency.
+    fn contains(&self, key: u64, pre: &str) -> bool {
+        self.map.get(&key).is_some_and(|e| e.pre == pre)
+    }
+
+    fn insert(&mut self, key: u64, pre: String, out: Arc<RunOutcome>) {
+        let bytes = footprint(&pre, &out);
+        let last_used = self.tick();
+        let entry = MemoEntry {
+            pre,
+            out,
+            bytes,
+            last_used,
+        };
+        if let Some(old) = self.map.insert(key, entry) {
+            self.bytes -= old.bytes;
+        }
+        self.bytes += bytes;
+        while self.bytes > self.budget {
+            let Some(oldest) = self
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(&k, _)| k)
+            else {
+                break;
+            };
+            let e = self.map.remove(&oldest).expect("the oldest key is resident");
+            self.bytes -= e.bytes;
+            self.evictions += 1;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.bytes = 0;
+    }
+
+    fn stats(&self) -> MemoStats {
+        MemoStats {
+            entries: self.map.len() as u64,
+            bytes: self.bytes as u64,
+            evictions: self.evictions,
+        }
+    }
+}
+
+/// Estimated heap footprint of one memo entry: every time-series point
+/// and power sample at 16 bytes, trace spans, per-app stats and the
+/// schedule with their label strings, and the preimage. Lengths, not
+/// capacities — an estimate for budgeting, not an allocator audit.
+fn footprint(pre: &str, out: &RunOutcome) -> usize {
+    let r = &out.result;
+    let points = [
+        &r.resident_threads,
+        &r.active_smx,
+        &r.dma_busy[0],
+        &r.dma_busy[1],
+        &out.power.series,
+    ]
+    .iter()
+    .map(|ts| ts.points().len())
+    .sum::<usize>()
+        + out.power.samples.len();
+    let spans: usize = r
+        .trace
+        .spans()
+        .iter()
+        .map(|sp| size_of::<Span>() + sp.label.len())
+        .sum();
+    let apps: usize = r
+        .apps
+        .iter()
+        .map(|a| size_of::<AppStats>() + a.label.len())
+        .sum();
+    let schedule: usize = out
+        .schedule
+        .iter()
+        .map(|l| size_of::<String>() + l.len())
+        .sum();
+    size_of::<RunOutcome>()
+        + points * size_of::<(SimTime, f64)>()
+        + spans
+        + apps
+        + schedule
+        + pre.len()
+}
+
+/// Wrap a freshly made outcome for sharing as a copy, dropping the
+/// original. The simulator grows its recorded vectors by doubling; the
+/// copy allocates each at its exact length, and the memo keeps an
+/// outcome long after the run that made it. Measured on `serve_cold`,
+/// keeping the original put peak RSS at ~69 MB against ~47 MB.
+/// Trimming in place (`shrink_to_fit`) reached ~56 MB, but its
+/// shrinking reallocations left later simulations in the same process
+/// ~40% slower (the chaos bench of `perf_baseline`).
+fn share(out: RunOutcome) -> Arc<RunOutcome> {
+    Arc::new(out.clone())
+}
+
+fn memo() -> &'static Mutex<Memo> {
+    static MEMO: OnceLock<Mutex<Memo>> = OnceLock::new();
+    MEMO.get_or_init(|| Mutex::new(Memo::new(MEMO_BUDGET)))
+}
+
+/// Point-in-time footprint of the in-process memo.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Outcomes currently held.
+    pub entries: u64,
+    /// Their estimated footprint in bytes; never above [`MEMO_BUDGET`]
+    /// once an insert returns.
+    pub bytes: u64,
+    /// Process-lifetime count of entries evicted to stay in budget.
+    pub evictions: u64,
+}
+
+/// Current [`MemoStats`] of the in-process memo. Surfaced in the
+/// service's `--status` integrity line.
+pub fn memo_stats() -> MemoStats {
+    memo().lock().stats()
 }
 
 static HITS: AtomicU64 = AtomicU64::new(0);
@@ -164,11 +345,16 @@ pub(crate) fn drop_memo() {
     memo().lock().clear();
 }
 
-/// Drop the in-process memo and zero the hit/miss counters. Tests and
-/// benchmarks use this to measure a genuinely cold run; the on-disk
-/// cache is unaffected (point `HQ_RESULTS` somewhere fresh for that).
+/// Drop the in-process memo and zero the hit/miss, corruption and
+/// eviction counters. Tests and benchmarks use this to measure a
+/// genuinely cold run; the on-disk cache is unaffected (point
+/// `HQ_RESULTS` somewhere fresh for that).
 pub fn reset_cache() {
-    memo().lock().clear();
+    {
+        let mut memo = memo().lock();
+        memo.clear();
+        memo.evictions = 0;
+    }
     HITS.store(0, Ordering::Relaxed);
     MISSES.store(0, Ordering::Relaxed);
     CACHE_CORRUPT.store(0, Ordering::Relaxed);
@@ -179,50 +365,157 @@ pub fn cache_dir() -> PathBuf {
     out_dir().join(".scenario-cache")
 }
 
-/// Run one scenario through the cache: memo map first, then the disk
+/// The cache layers one call runs against: a memo, the mode, and the
+/// disk directory. The public entry points use the process memo with
+/// the mode and directory the environment names (re-read per call, so
+/// `HQ_SCENARIO_CACHE`/`HQ_RESULTS` changes take effect at once); the
+/// unit tests drive their own memo with a small budget.
+struct Layers<'a> {
+    memo: &'a Mutex<Memo>,
+    mode: CacheMode,
+    dir: PathBuf,
+}
+
+impl Layers<'static> {
+    fn from_env() -> Self {
+        Layers {
+            memo: memo(),
+            mode: cache_mode(),
+            dir: cache_dir(),
+        }
+    }
+}
+
+impl Layers<'_> {
+    fn entry_path(&self, key: ScenarioKey) -> PathBuf {
+        self.dir.join(format!("{}.v{DISK_VERSION}", key.hex()))
+    }
+
+    /// The warm half of a lookup: the memo first, then (in disk mode)
+    /// the disk entry, which is promoted into the memo. Counts a hit
+    /// when it finds one.
+    fn lookup(
+        &self,
+        key: ScenarioKey,
+        pre: &str,
+        cfg: &RunConfig,
+    ) -> Option<Arc<RunOutcome>> {
+        if let Some(out) = self.memo.lock().get(key.0, pre) {
+            HITS.fetch_add(1, Ordering::Relaxed);
+            return Some(out);
+        }
+        if self.mode == CacheMode::MemoAndDisk {
+            if let Some(out) = read_entry(&self.entry_path(key), pre, cfg) {
+                HITS.fetch_add(1, Ordering::Relaxed);
+                let out = share(out);
+                self.memo.lock().insert(key.0, pre.to_string(), Arc::clone(&out));
+                return Some(out);
+            }
+        }
+        None
+    }
+
+    /// Insert a freshly simulated outcome into both layers. The disk
+    /// write is best-effort: a failed write just means a future miss.
+    fn store(&self, key: ScenarioKey, pre: String, out: &Arc<RunOutcome>) {
+        if self.mode == CacheMode::MemoAndDisk && std::fs::create_dir_all(&self.dir).is_ok() {
+            let _ = write_atomic(&self.entry_path(key), &encode(&pre, out));
+        }
+        self.memo.lock().insert(key.0, pre, Arc::clone(out));
+    }
+
+    fn run(&self, cfg: &RunConfig, specs: &[AppSpec]) -> Result<Arc<RunOutcome>, SimError> {
+        if self.mode == CacheMode::Off {
+            return run_schedule(cfg, specs).map(Arc::new);
+        }
+        let pre = preimage(cfg, specs);
+        let key = ScenarioKey(fnv1a(pre.as_bytes()));
+        if let Some(out) = self.lookup(key, &pre, cfg) {
+            return Ok(out);
+        }
+        MISSES.fetch_add(1, Ordering::Relaxed);
+        let out = share(run_schedule(cfg, specs)?);
+        self.store(key, pre, &out);
+        Ok(out)
+    }
+
+    fn is_warm(&self, cfg: &RunConfig, specs: &[AppSpec]) -> bool {
+        if self.mode == CacheMode::Off {
+            return false;
+        }
+        let pre = preimage(cfg, specs);
+        let key = ScenarioKey(fnv1a(pre.as_bytes()));
+        self.memo.lock().contains(key.0, &pre)
+            || (self.mode == CacheMode::MemoAndDisk
+                && read_entry(&self.entry_path(key), &pre, cfg).is_some())
+    }
+
+    fn run_batch(
+        &self,
+        jobs: &[(RunConfig, Vec<AppSpec>)],
+    ) -> Vec<Result<Arc<RunOutcome>, SimError>> {
+        let mut results: Vec<Option<Result<Arc<RunOutcome>, SimError>>> =
+            jobs.iter().map(|_| None).collect();
+        // Per-job `(key, preimage)` for cold lanes that must be inserted
+        // on completion (`None` with the cache off).
+        let mut keys: Vec<Option<(ScenarioKey, String)>> = jobs.iter().map(|_| None).collect();
+        let mut cold: Vec<usize> = Vec::new();
+        for (i, (cfg, specs)) in jobs.iter().enumerate() {
+            if self.mode == CacheMode::Off {
+                cold.push(i);
+                continue;
+            }
+            let pre = preimage(cfg, specs);
+            let key = ScenarioKey(fnv1a(pre.as_bytes()));
+            if let Some(out) = self.lookup(key, &pre, cfg) {
+                results[i] = Some(Ok(out));
+                continue;
+            }
+            MISSES.fetch_add(1, Ordering::Relaxed);
+            keys[i] = Some((key, pre));
+            cold.push(i);
+        }
+        if !cold.is_empty() {
+            let cold_jobs: Vec<(RunConfig, Vec<AppSpec>)> =
+                cold.iter().map(|&i| jobs[i].clone()).collect();
+            let outs = run_schedule_batch(&cold_jobs);
+            debug_assert_eq!(outs.len(), cold.len());
+            for (&i, out) in cold.iter().zip(outs) {
+                results[i] = Some(match (out, keys[i].take()) {
+                    (Ok(ok), Some((key, pre))) => {
+                        let ok = share(ok);
+                        self.store(key, pre, &ok);
+                        Ok(ok)
+                    }
+                    (out, _) => out.map(Arc::new),
+                });
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every batched lane resolved"))
+            .collect()
+    }
+}
+
+/// Run one scenario through the cache: memo first, then the disk
 /// cache, then a real [`run_schedule`] simulation (whose outcome is
 /// inserted into both layers). Errors are never cached. This is the
 /// choke point every experiment's simulation goes through; call
 /// [`run_schedule`] directly to bypass the cache (as the perf
-/// benchmarks measuring raw simulator throughput do).
-pub fn run_scenario(cfg: &RunConfig, specs: &[AppSpec]) -> Result<RunOutcome, SimError> {
-    let mode = cache_mode();
-    if mode == CacheMode::Off {
-        return run_schedule(cfg, specs);
-    }
-    let pre = preimage(cfg, specs);
-    let key = ScenarioKey(fnv1a(pre.as_bytes()));
-    if let Some(out) = {
-        let memo = memo().lock();
-        memo.get(&key.0)
-            .filter(|(stored, _)| *stored == pre)
-            .map(|(_, out)| out.clone())
-    } {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok(out);
-    }
-    let path = cache_dir().join(format!("{}.v{DISK_VERSION}", key.hex()));
-    if mode == CacheMode::MemoAndDisk {
-        if let Some(out) = read_entry(&path, &pre, cfg) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            memo().lock().insert(key.0, (pre, out.clone()));
-            return Ok(out);
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let out = run_schedule(cfg, specs)?;
-    if mode == CacheMode::MemoAndDisk && std::fs::create_dir_all(cache_dir()).is_ok() {
-        // Best-effort: a failed write just means a future miss.
-        let _ = write_atomic(&path, &encode(&pre, &out));
-    }
-    memo().lock().insert(key.0, (pre, out.clone()));
-    Ok(out)
+/// benchmarks measuring raw simulator throughput do). The outcome is
+/// shared with the memo, so a hit costs a refcount bump.
+pub fn run_scenario(cfg: &RunConfig, specs: &[AppSpec]) -> Result<Arc<RunOutcome>, SimError> {
+    Layers::from_env().run(cfg, specs)
 }
 
 /// [`run_scenario`] for a workload given as app kinds: builds the
 /// schedule exactly as [`hyperq_core::harness::run_workload`] does,
 /// then routes it through the cache.
-pub fn run_scenario_workload(cfg: &RunConfig, kinds: &[AppKind]) -> Result<RunOutcome, SimError> {
+pub fn run_scenario_workload(
+    cfg: &RunConfig,
+    kinds: &[AppKind],
+) -> Result<Arc<RunOutcome>, SimError> {
     let specs = build_schedule(kinds, cfg.order, cfg.seed);
     run_scenario(cfg, &specs)
 }
@@ -233,27 +526,8 @@ pub fn run_scenario_workload(cfg: &RunConfig, kinds: &[AppKind]) -> Result<RunOu
 /// admission check uses this to tell warm work — serviceable at
 /// negligible cost even under overload — from cold work to shed.
 pub fn scenario_is_warm(cfg: &RunConfig, kinds: &[AppKind]) -> bool {
-    let mode = cache_mode();
-    if mode == CacheMode::Off {
-        return false;
-    }
     let specs = build_schedule(kinds, cfg.order, cfg.seed);
-    let pre = preimage(cfg, &specs);
-    let key = ScenarioKey(fnv1a(pre.as_bytes()));
-    if memo()
-        .lock()
-        .get(&key.0)
-        .is_some_and(|(stored, _)| *stored == pre)
-    {
-        return true;
-    }
-    mode == CacheMode::MemoAndDisk
-        && read_entry(
-            &cache_dir().join(format!("{}.v{DISK_VERSION}", key.hex())),
-            &pre,
-            cfg,
-        )
-        .is_some()
+    Layers::from_env().is_warm(cfg, &specs)
 }
 
 /// Batched [`run_scenario`]: run `lanes.len()` schedules of one shared
@@ -267,7 +541,7 @@ pub fn scenario_is_warm(cfg: &RunConfig, kinds: &[AppKind]) -> bool {
 pub fn run_scenario_batch(
     cfg: &RunConfig,
     lanes: &[Vec<AppSpec>],
-) -> Vec<Result<RunOutcome, SimError>> {
+) -> Vec<Result<Arc<RunOutcome>, SimError>> {
     let jobs: Vec<(RunConfig, Vec<AppSpec>)> =
         lanes.iter().map(|specs| (cfg.clone(), specs.clone())).collect();
     run_scenario_batch_jobs(&jobs)
@@ -283,7 +557,7 @@ pub fn run_scenario_batch(
 /// artifacts.
 pub fn run_scenario_workload_batch(
     jobs: &[(RunConfig, Vec<AppKind>)],
-) -> Vec<Result<RunOutcome, SimError>> {
+) -> Vec<Result<Arc<RunOutcome>, SimError>> {
     let lanes: Vec<(RunConfig, Vec<AppSpec>)> = jobs
         .iter()
         .map(|(cfg, kinds)| {
@@ -301,66 +575,8 @@ pub fn run_scenario_workload_batch(
 /// correct: both lanes produce the same bytes and the same cache entry.
 pub fn run_scenario_batch_jobs(
     jobs: &[(RunConfig, Vec<AppSpec>)],
-) -> Vec<Result<RunOutcome, SimError>> {
-    let mode = cache_mode();
-    let mut results: Vec<Option<Result<RunOutcome, SimError>>> =
-        jobs.iter().map(|_| None).collect();
-    // Per-job `(key, preimage)` for cold lanes that must be inserted on
-    // completion (`None` with the cache off).
-    let mut keys: Vec<Option<(u64, String)>> = jobs.iter().map(|_| None).collect();
-    let mut cold: Vec<usize> = Vec::new();
-    for (i, (cfg, specs)) in jobs.iter().enumerate() {
-        if mode == CacheMode::Off {
-            cold.push(i);
-            continue;
-        }
-        let pre = preimage(cfg, specs);
-        let key = ScenarioKey(fnv1a(pre.as_bytes()));
-        if let Some(out) = {
-            let memo = memo().lock();
-            memo.get(&key.0)
-                .filter(|(stored, _)| *stored == pre)
-                .map(|(_, out)| out.clone())
-        } {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            results[i] = Some(Ok(out));
-            continue;
-        }
-        if mode == CacheMode::MemoAndDisk {
-            let path = cache_dir().join(format!("{}.v{DISK_VERSION}", key.hex()));
-            if let Some(out) = read_entry(&path, &pre, cfg) {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                memo().lock().insert(key.0, (pre, out.clone()));
-                results[i] = Some(Ok(out));
-                continue;
-            }
-        }
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        keys[i] = Some((key.0, pre));
-        cold.push(i);
-    }
-    if !cold.is_empty() {
-        let cold_jobs: Vec<(RunConfig, Vec<AppSpec>)> =
-            cold.iter().map(|&i| jobs[i].clone()).collect();
-        let outs = run_schedule_batch(&cold_jobs);
-        debug_assert_eq!(outs.len(), cold.len());
-        for (&i, out) in cold.iter().zip(outs) {
-            if let (Ok(ok), Some((key, pre))) = (&out, &keys[i]) {
-                if mode == CacheMode::MemoAndDisk && std::fs::create_dir_all(cache_dir()).is_ok() {
-                    let path =
-                        cache_dir().join(format!("{}.v{DISK_VERSION}", ScenarioKey(*key).hex()));
-                    // Best-effort: a failed write just means a future miss.
-                    let _ = write_atomic(&path, &encode(pre, ok));
-                }
-                memo().lock().insert(*key, (pre.clone(), ok.clone()));
-            }
-            results[i] = Some(out);
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every batched lane resolved"))
-        .collect()
+) -> Vec<Result<Arc<RunOutcome>, SimError>> {
+    Layers::from_env().run_batch(jobs)
 }
 
 /// Encode an outcome exactly as its cache entry would be written — the
@@ -898,6 +1114,128 @@ mod tests {
         let mut swapped = specs.clone();
         swapped.swap(0, 1);
         assert_ne!(scenario_key(&cfg, &specs), scenario_key(&cfg, &swapped));
+    }
+
+    /// Equal-length stand-in preimages, so every test entry built from
+    /// one outcome has the same footprint.
+    fn fake_pre(i: u64) -> String {
+        format!("test-scenario-{i:04}")
+    }
+
+    /// A shared sample outcome, its per-entry footprint under a
+    /// [`fake_pre`] preimage, and a memo whose budget holds `n` of them.
+    fn memo_holding(n: usize) -> (Arc<RunOutcome>, usize, Memo) {
+        let cfg = sample_cfg();
+        let out = Arc::new(sample_outcome(&cfg, &sample_specs(&cfg)));
+        let per = footprint(&fake_pre(0), &out);
+        (out, per, Memo::new(per * n + per / 2))
+    }
+
+    /// The cache entry encoding minus the wall-clock `perf ` line and
+    /// the `crc ` line that covers it.
+    fn deterministic(text: &str) -> Vec<&str> {
+        text.lines()
+            .filter(|l| !l.starts_with("perf ") && !l.starts_with("crc "))
+            .collect()
+    }
+
+    #[test]
+    fn memo_bytes_never_exceed_the_budget() {
+        let (out, per, mut memo) = memo_holding(3);
+        assert!(per > 10_000, "a traced sample outcome is not tiny: {per} B");
+        for i in 0..20 {
+            memo.insert(i, fake_pre(i), Arc::clone(&out));
+            assert!(memo.bytes <= memo.budget, "over budget after insert {i}");
+        }
+        // Re-inserting a resident key replaces it, never double-counts.
+        memo.insert(19, fake_pre(19), Arc::clone(&out));
+        let st = memo.stats();
+        assert_eq!(st.entries, 3);
+        assert_eq!(st.bytes as usize, 3 * per);
+        assert_eq!(st.evictions, 17, "one eviction per insert past the third");
+        memo.clear();
+        assert_eq!(memo.stats().bytes, 0);
+        assert_eq!(memo.stats().evictions, 17, "clearing is not evicting");
+    }
+
+    #[test]
+    fn a_recently_hit_entry_outlives_a_colder_one() {
+        let (out, _, mut memo) = memo_holding(3);
+        for i in 0..3 {
+            memo.insert(i, fake_pre(i), Arc::clone(&out));
+        }
+        assert!(memo.get(0, &fake_pre(0)).is_some());
+        memo.insert(3, fake_pre(3), Arc::clone(&out));
+        assert!(memo.contains(0, &fake_pre(0)), "the hit entry was evicted");
+        assert!(!memo.contains(1, &fake_pre(1)), "the coldest entry survived");
+        assert!(memo.contains(2, &fake_pre(2)) && memo.contains(3, &fake_pre(3)));
+        // A preimage mismatch is a miss and does not refresh anything.
+        assert!(memo.get(2, "another scenario").is_none());
+        assert_eq!(memo.stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_held_outcome_stays_valid_after_its_eviction() {
+        let (out, _, mut memo) = memo_holding(2);
+        memo.insert(0, fake_pre(0), out);
+        let held = memo.get(0, &fake_pre(0)).expect("resident");
+        let before = encode(&fake_pre(0), &held);
+        for i in 1..6 {
+            let copy = Arc::new(RunOutcome::clone(&held));
+            memo.insert(i, fake_pre(i), copy);
+        }
+        assert!(!memo.contains(0, &fake_pre(0)), "entry 0 must be evicted");
+        assert_eq!(Arc::strong_count(&held), 1, "the caller owns the last reference");
+        assert_eq!(encode(&fake_pre(0), &held), before);
+    }
+
+    /// Eviction is invisible to callers: an evicted scenario comes back
+    /// byte-identical — re-simulated in `mem` mode, decoded from its
+    /// disk entry otherwise.
+    #[test]
+    fn an_evicted_scenario_comes_back_byte_identical() {
+        let cfg = sample_cfg();
+        let specs = sample_specs(&cfg);
+        let other = cfg.clone().with_seed(8);
+        let other_specs = sample_specs(&other);
+        let per = footprint(&preimage(&cfg, &specs), &sample_outcome(&cfg, &specs));
+        for mode in [CacheMode::Memo, CacheMode::MemoAndDisk] {
+            let dir = std::env::temp_dir().join(format!(
+                "hq-memo-evict-{}-{}",
+                std::process::id(),
+                mode == CacheMode::Memo
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let memo = Mutex::new(Memo::new(per + per / 2));
+            let layers = Layers {
+                memo: &memo,
+                mode,
+                dir: dir.clone(),
+            };
+            let first = layers.run(&cfg, &specs).expect("first run");
+            layers.run(&other, &other_specs).expect("evicting run");
+            let key = scenario_key(&cfg, &specs).0;
+            assert!(!memo.lock().contains(key, &preimage(&cfg, &specs)));
+            assert!(memo.lock().stats().evictions >= 1);
+            let (_, m0) = cache_stats();
+            let again = layers.run(&cfg, &specs).expect("run after eviction");
+            let (_, m1) = cache_stats();
+            assert!(!Arc::ptr_eq(&first, &again), "served a fresh outcome");
+            let (a, b) = (
+                encode_outcome(&cfg, &specs, &first),
+                encode_outcome(&cfg, &specs, &again),
+            );
+            assert_eq!(deterministic(&a), deterministic(&b));
+            if mode == CacheMode::Memo {
+                assert!(m1 > m0, "mem mode re-simulates an evicted scenario");
+            } else {
+                // The disk entry stores the wall-clock perf line
+                // verbatim: equal bytes *including* it prove the
+                // outcome was decoded, not re-simulated.
+                assert_eq!(a, b);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// The memo layer serves an identical scenario without resimulating

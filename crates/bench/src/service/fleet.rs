@@ -867,6 +867,9 @@ impl Fleet {
                 report.solo_flushes += s.solo_flushes;
                 report.cache_corrupt += s.cache_corrupt;
                 report.dedup_hits += s.dedup_hits;
+                report.memo_entries += s.memo_entries;
+                report.memo_bytes += s.memo_bytes;
+                report.memo_evictions += s.memo_evictions;
                 report.open_circuits.extend(s.open_circuits);
                 merge_tenant_stats(&mut report.tenants, s.tenants);
             }

@@ -887,6 +887,7 @@ mod tests {
             let _g = crate::util::io::install(crate::util::io::IoFaultPlan {
                 seed: 9,
                 fsync_eio_pm: 1000,
+                path_filter: crate::util::io::dir_filter(&path),
                 ..crate::util::io::IoFaultPlan::default()
             });
             j.accept(2, &spec(2)).unwrap_err()
@@ -916,6 +917,7 @@ mod tests {
             let _g = crate::util::io::install(crate::util::io::IoFaultPlan {
                 seed: 23,
                 short_write_pm: 1000,
+                path_filter: crate::util::io::dir_filter(&path),
                 ..crate::util::io::IoFaultPlan::default()
             });
             assert!(j.accept(1, &spec(1)).is_err());

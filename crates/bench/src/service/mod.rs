@@ -874,9 +874,12 @@ impl Server {
             let backlog =
                 (g.tenants.total_queued() + g.tenants.total_admitting() + g.running.len()) as f64;
             let capacity = (self.opts.queue_depth + self.opts.workers.max(1)) as f64;
-            let cold = !spec.scripted_panic
-                && !scenario_is_warm(&config_for(&spec), &spec.workload);
-            if backlog / capacity > self.opts.brownout_threshold && cold {
+            // The warmth probe builds a schedule and may read a disk
+            // entry under the state lock: only pay for it when over.
+            if backlog / capacity > self.opts.brownout_threshold
+                && !spec.scripted_panic
+                && !scenario_is_warm(&config_for(&spec), &spec.workload)
+            {
                 let verdict = tenancy::ShedVerdict {
                     reason: "brownout",
                     retry_after_ms: self.drain_step_ms(&g).max(50),
@@ -1000,6 +1003,7 @@ impl Server {
             .collect();
         open_circuits.sort();
         let (fsyncs, window_flushes, solo_flushes) = self.gc.counters();
+        let memo = crate::scenario::memo_stats();
         Response::Status(StatusReport {
             queued: g.tenants.total_queued() as u64,
             running: g.running.len() as u64,
@@ -1016,6 +1020,9 @@ impl Server {
             solo_flushes,
             cache_corrupt: crate::scenario::cache_corrupt_count(),
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
+            memo_entries: memo.entries,
+            memo_bytes: memo.bytes,
+            memo_evictions: memo.evictions,
         })
     }
 

@@ -573,6 +573,15 @@ pub struct StatusReport {
     /// Submits deduplicated by idempotency key: a client retried after
     /// losing an `accepted` ack and got the original job id back.
     pub dedup_hits: u64,
+    /// Outcomes held by the in-process scenario memo.
+    pub memo_entries: u64,
+    /// Their estimated footprint in bytes; bounded per process by
+    /// `scenario::MEMO_BUDGET` (a fleet sums its shards).
+    pub memo_bytes: u64,
+    /// Memo entries evicted to stay within the budget. An evicted
+    /// scenario is served from the disk cache (or re-simulated) next
+    /// time, byte-identical.
+    pub memo_evictions: u64,
 }
 
 /// A server response.
@@ -647,7 +656,7 @@ impl Response {
                     })
                     .collect();
                 format!(
-                    "{MAGIC} status {} {} {} {} {} {} {} {}:{}:{}:{}:{}:{}:{}:{}",
+                    "{MAGIC} status {} {} {} {} {} {} {} {}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}",
                     s.queued,
                     s.running,
                     s.completed,
@@ -670,7 +679,10 @@ impl Response {
                     s.window_flushes,
                     s.solo_flushes,
                     s.cache_corrupt,
-                    s.dedup_hits
+                    s.dedup_hits,
+                    s.memo_entries,
+                    s.memo_bytes,
+                    s.memo_evictions
                 )
             }
             Response::Pong => format!("{MAGIC} pong"),
@@ -755,7 +767,7 @@ impl Response {
                         .collect::<Result<_, _>>()?
                 };
                 let batch: Vec<&str> = toks[9].split(':').collect();
-                if batch.len() != 8 {
+                if batch.len() != 11 {
                     return Err(format!("bad batch counters '{}'", toks[9]));
                 }
                 Ok(Response::Status(StatusReport {
@@ -774,6 +786,9 @@ impl Response {
                     solo_flushes: num(batch[5])?,
                     cache_corrupt: num(batch[6])?,
                     dedup_hits: num(batch[7])?,
+                    memo_entries: num(batch[8])?,
+                    memo_bytes: num(batch[9])?,
+                    memo_evictions: num(batch[10])?,
                 }))
             }
             Some("pong") if toks.len() == 2 => Ok(Response::Pong),
@@ -952,6 +967,9 @@ mod tests {
                 solo_flushes: 3,
                 cache_corrupt: 2,
                 dedup_hits: 5,
+                memo_entries: 158,
+                memo_bytes: 14_400_000,
+                memo_evictions: 3,
             }),
             Response::Status(StatusReport::default()),
             Response::Pong,

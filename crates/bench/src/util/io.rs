@@ -137,6 +137,17 @@ pub fn install(plan: IoFaultPlan) -> FaultGuard {
     }
 }
 
+/// A `path_filter` scoping a plan to the directory holding `path`
+/// (trailing separator included, so `dir-a` never matches `dir-ab`).
+/// Tests arm plans through this: the shim is process-global, and an
+/// unscoped plan would inject faults into whatever sibling tests on
+/// other threads happen to write meanwhile.
+#[cfg(test)]
+pub(crate) fn dir_filter(path: &Path) -> String {
+    let dir = path.parent().expect("a file inside a test directory");
+    format!("{}{}", dir.display(), std::path::MAIN_SEPARATOR)
+}
+
 /// Whether a fault plan is currently armed.
 pub fn faults_active() -> bool {
     ACTIVE.load(Ordering::Acquire)
@@ -401,6 +412,7 @@ mod tests {
         let _g = install(IoFaultPlan {
             seed: 1,
             enospc_pm: 1000,
+            path_filter: dir_filter(&path),
             ..IoFaultPlan::default()
         });
         let err = write_all(&mut f, &path, b"doomed").unwrap_err();
@@ -416,6 +428,7 @@ mod tests {
         let _g = install(IoFaultPlan {
             seed: 3,
             short_write_pm: 1000,
+            path_filter: dir_filter(&path),
             ..IoFaultPlan::default()
         });
         let err = write_all(&mut f, &path, b"0123456789").unwrap_err();
@@ -433,6 +446,7 @@ mod tests {
         let _g = install(IoFaultPlan {
             seed: 5,
             eintr_pm: 400,
+            path_filter: dir_filter(&path),
             ..IoFaultPlan::default()
         });
         for i in 0..50u32 {
@@ -453,6 +467,7 @@ mod tests {
         let _g = install(IoFaultPlan {
             seed: 7,
             fsync_eio_pm: 1000,
+            path_filter: dir_filter(&path),
             ..IoFaultPlan::default()
         });
         write_all(&mut f, &path, b"dirty-tail\n").unwrap();
@@ -476,6 +491,7 @@ mod tests {
         let _g = install(IoFaultPlan {
             seed: 11,
             fsync_eio_pm: 0,
+            path_filter: dir_filter(&path),
             ..IoFaultPlan::default()
         });
         write_all(&mut f, &path, b"a\n").unwrap();
@@ -494,6 +510,7 @@ mod tests {
         let _g = install(IoFaultPlan {
             seed: 13,
             torn_rename_pm: 1000,
+            path_filter: dir_filter(&path),
             ..IoFaultPlan::default()
         });
         let err = rename(&tmp_path, &path).unwrap_err();
@@ -510,6 +527,7 @@ mod tests {
         let _g = install(IoFaultPlan {
             seed: 17,
             bitflip_pm: 1000,
+            path_filter: dir_filter(&path),
             ..IoFaultPlan::default()
         });
         write_all(&mut f, &path, payload).unwrap();
@@ -550,6 +568,7 @@ mod tests {
                 seed,
                 short_write_pm: 300,
                 enospc_pm: 200,
+                path_filter: dir_filter(&path),
                 ..IoFaultPlan::default()
             });
             let outcomes: Vec<bool> = (0..40)

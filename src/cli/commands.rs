@@ -504,8 +504,8 @@ fn cmd_submit(cli: &Cli) -> Result<String, String> {
                     s.accepts, s.fsyncs, per_accept, s.window_flushes, s.solo_flushes
                 ));
                 out.push_str(&format!(
-                    "\nintegrity: cache_corrupt {} dedup_hits {}",
-                    s.cache_corrupt, s.dedup_hits
+                    "\nintegrity: cache_corrupt {} dedup_hits {} memo_entries {} memo_bytes {} memo_evictions {}",
+                    s.cache_corrupt, s.dedup_hits, s.memo_entries, s.memo_bytes, s.memo_evictions
                 ));
                 for t in &s.tenants {
                     out.push_str(&format!(

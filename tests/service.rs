@@ -4,6 +4,7 @@
 //! cancellation, panic isolation and graceful shutdown over a real
 //! Unix-domain socket.
 
+use hq_bench::scenario::MEMO_BUDGET;
 use hq_bench::service::protocol::{read_frame, write_frame};
 use hq_bench::service::{
     run_job_direct, Client, JobDone, Journal, JobSpec, Reject, Request, Response, Server,
@@ -671,6 +672,53 @@ fn brownout_sheds_cold_work_but_serves_warm_cache_hits() {
     }
 }
 
+/// Brownout probes the scenario cache only once the backlog is over
+/// its threshold: below it a submit never builds the warmth probe, so
+/// a corrupt disk entry for the spec goes unread; over it the probe
+/// reads (and counts) the entry and sheds the spec as cold.
+#[test]
+fn brownout_probes_the_cache_only_over_its_threshold() {
+    let _env = env_lock();
+    let dirs = TestDirs::new("brownout-probe");
+    let mut opts = dirs.opts();
+    opts.workers = 1;
+    opts.queue_depth = 4;
+    opts.brownout_threshold = 0.5;
+    let (server, _) = Server::new(opts).expect("server");
+
+    // A disk entry for spec 41 that fails its CRC, and no memo copy.
+    run_job_direct(&spec(41)).expect("write the cache entry");
+    let cache = dirs.root.join(".scenario-cache");
+    let entry = std::fs::read_dir(&cache)
+        .expect("cache dir")
+        .next()
+        .expect("one entry")
+        .expect("entry")
+        .path();
+    let mut bytes = std::fs::read(&entry).expect("entry bytes");
+    let last = bytes.len() - 10;
+    bytes[last] ^= 0x01;
+    std::fs::write(&entry, &bytes).expect("corrupt the entry");
+    hq_bench::scenario::reset_cache();
+
+    let corrupt = |server: &Server| match server.handle(Request::Status) {
+        Response::Status(s) => s.cache_corrupt,
+        other => panic!("expected status, got {other:?}"),
+    };
+    // Backlog 0, 1, 2 of capacity 5: at or under 0.5, never probed.
+    for seed in [41, 42, 43] {
+        assert!(matches!(server.handle(Request::Submit(spec(seed))), Response::Accepted(_)));
+    }
+    assert_eq!(corrupt(&server), 0, "a submit under the threshold read the cache");
+    // Backlog 3 of 5 is over: the probe reads the corrupt entry, which
+    // is no warm hit, so the spec sheds as cold.
+    match server.handle(Request::Submit(spec(41))) {
+        Response::Rejected(Reject::Shed { reason, .. }) => assert_eq!(reason, "brownout"),
+        other => panic!("expected brownout shed, got {other:?}"),
+    }
+    assert_eq!(corrupt(&server), 1);
+}
+
 /// Satellite: `Client::submit_with_retry` rides out sheds — backing
 /// off on the server's retry-after hint — until tenant capacity frees
 /// up, within its budget.
@@ -1067,6 +1115,86 @@ fn oversized_frame_is_rejected_without_allocation_over_socket() {
         other => panic!("expected ok, got {other:?}"),
     }
     match client.call(&Request::Shutdown).expect("shutdown") {
+        Response::Bye { .. } => {}
+        other => panic!("expected bye, got {other:?}"),
+    }
+    runner.join().expect("runner join").expect("run ok");
+}
+
+/// The scenario memo is bounded: a server that serves more unique
+/// scenarios than `MEMO_BUDGET` holds evicts its least recently used
+/// outcomes, reports a footprint within the budget, and still writes
+/// every artifact byte-identical to a direct run — evicted scenarios
+/// come back from the disk cache.
+#[test]
+fn memo_stays_within_budget_while_serving_more_unique_scenarios_than_it_holds() {
+    let _env = env_lock();
+    let dirs = TestDirs::new("memo-budget");
+    let mut opts = dirs.opts();
+    opts.workers = 2;
+    opts.queue_depth = 512;
+    let socket = opts.socket.clone();
+    let artifact_dir = opts.artifact_dir.clone();
+    let (server, _) = Server::new(opts).expect("server");
+    let status = |server: &Server| match server.handle(Request::Status) {
+        Response::Status(s) => s,
+        other => panic!("expected status, got {other:?}"),
+    };
+    let before = status(&server);
+    let runner = {
+        let server = std::sync::Arc::clone(&server);
+        std::thread::spawn(move || server.run())
+    };
+
+    // The cold serving mix: ~130 KB of outcome per scenario, so 300
+    // unique seeds are ~40 MB, past the 32 MiB budget.
+    let jobs = 300u64;
+    let mut ids: Vec<(u64, JobSpec)> = Vec::new();
+    for seed in 0..jobs {
+        let s = JobSpec {
+            workload: vec![AppKind::Gaussian, AppKind::Knearest, AppKind::Needle, AppKind::Srad],
+            streams: 8,
+            seed: 7000 + seed,
+            ..JobSpec::default()
+        };
+        match server.handle(Request::Submit(s.clone())) {
+            Response::Accepted(id) => ids.push((id, s)),
+            other => panic!("expected accepted, got {other:?}"),
+        }
+    }
+    for (id, _) in &ids {
+        match server.handle(Request::Wait(*id)) {
+            Response::Done(_, JobDone::Ok { .. }) => {}
+            other => panic!("job {id} failed: {other:?}"),
+        }
+    }
+
+    let after = status(&server);
+    assert!(
+        after.memo_evictions > before.memo_evictions,
+        "{jobs} cold scenarios must overflow the memo"
+    );
+    assert!(
+        after.memo_bytes <= MEMO_BUDGET as u64,
+        "memo holds {} B, budget {MEMO_BUDGET} B",
+        after.memo_bytes
+    );
+    assert!(after.memo_entries < before.memo_entries + jobs);
+
+    // Newest first: those are still memo-resident, and each disk hit
+    // further down then evicts an entry already checked.
+    for (id, spec) in ids.iter().rev() {
+        let got = std::fs::read_to_string(artifact_dir.join(format!("job-{id}.out")))
+            .expect("served artifact");
+        assert_eq!(
+            got,
+            run_job_direct(spec).unwrap(),
+            "job {id} artifact differs from the direct run"
+        );
+    }
+    assert!(status(&server).memo_bytes <= MEMO_BUDGET as u64);
+
+    match connect_with_retry(&socket).call(&Request::Shutdown).expect("shutdown") {
         Response::Bye { .. } => {}
         other => panic!("expected bye, got {other:?}"),
     }
