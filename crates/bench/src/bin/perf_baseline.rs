@@ -38,10 +38,12 @@
 //! `sim_speedup_vs_pr2`, `suite_warm_speedup`) are not, and are the
 //! portable signal of the hot-path overhaul and the scenario cache.
 
+use hq_bench::chaos::{self, Chaos};
 use hq_bench::service::{Client, JobSpec, Request, Response, ServeOptions, StatusReport};
+use hq_bench::soak::Soak;
 use hq_bench::util::codec::json_f64;
 use hq_bench::util::Scale;
-use hq_bench::{chaos, scenario, suite};
+use hq_bench::{scenario, suite};
 use hq_des::prelude::*;
 use hq_des::time::{Dur, SimTime};
 use hq_gpu::config::{DeviceConfig, HostConfig};
@@ -559,10 +561,10 @@ fn bench_suite() -> SuiteBench {
 /// executor, over one fixed deterministic case set, measured three
 /// ways:
 ///
-/// * `serial` — `run_case` per spec, which always simulates (it is
+/// * `serial` — `Chaos::run` per spec, which always simulates (it is
 ///   the shrinker path and deliberately bypasses the per-case memo):
 ///   the pre-batch cost per soak case;
-/// * `batch cold` — one `run_case_batch` over the whole set against an
+/// * `batch cold` — one `Chaos::run_batch` over the whole set against an
 ///   empty memo, so every lane simulates inside the merged event loop.
 ///   This is the honest event-loop figure, reported as
 ///   `batch_events_per_s`;
@@ -582,7 +584,7 @@ fn bench_batch() -> BatchBench {
     for _ in 0..REPS {
         let t0 = Instant::now();
         for s in &specs {
-            std::hint::black_box(chaos::run_case(s));
+            std::hint::black_box(Chaos::run(s));
         }
         serial_best = serial_best.min(t0.elapsed().as_secs_f64());
     }
@@ -594,7 +596,7 @@ fn bench_batch() -> BatchBench {
     for _ in 0..REPS {
         chaos::reset_case_cache();
         let t0 = Instant::now();
-        let outcomes = chaos::run_case_batch(&specs);
+        let outcomes = Chaos::run_batch(&specs);
         let dt = t0.elapsed().as_secs_f64();
         if dt < cold_best {
             cold_best = dt;
@@ -606,7 +608,7 @@ fn bench_batch() -> BatchBench {
     let mut warm_best = f64::INFINITY;
     for _ in 0..REPS {
         let t0 = Instant::now();
-        std::hint::black_box(chaos::run_case_batch(&specs));
+        std::hint::black_box(Chaos::run_batch(&specs));
         warm_best = warm_best.min(t0.elapsed().as_secs_f64());
     }
     chaos::reset_case_cache();

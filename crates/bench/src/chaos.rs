@@ -1,31 +1,26 @@
 //! Chaos soak: randomized config × workload × fault cases run under the
-//! online invariant auditor, with a greedy shrinker and JSON repro
-//! files.
+//! online invariant auditor. The generic driver, shrinker and repro
+//! codec live in [`crate::soak`]; this module supplies the [`Chaos`]
+//! soak: the case type, its generator, the audited simulation and the
+//! repro field layout.
 //!
-//! The pipeline is:
-//!
-//! 1. [`gen_case`] draws a [`CaseSpec`] — a fully self-describing
-//!    simulation case (device geometry, per-app workload, fault plan) —
-//!    from a seeded [`DetRng`]; the generator only emits cases whose
-//!    *expected* outcome is a clean run (apps `Completed` or `Failed`,
-//!    zero audit violations, `validate()` empty). In particular a
-//!    watchdog is always armed when hang faults are possible, so a
-//!    deadlock is a bug, never an expected outcome.
-//! 2. [`run_case`] builds the simulator with the auditor enabled, runs
-//!    it (panics caught), and classifies the outcome.
-//! 3. On failure, [`shrink`] greedily minimizes the case — dropping
-//!    apps, dropping faults, shrinking sizes, simplifying the device —
-//!    while the failure (same category) reproduces.
-//! 4. The minimized case is serialized with [`case_to_json`] into a
-//!    repro file that `hq repro <file>` replays via [`run_repro`].
+//! [`Chaos::gen`] draws a [`CaseSpec`] — a fully self-describing
+//! simulation case (device geometry, per-app workload, fault plan) —
+//! from a seeded [`DetRng`]; the generator only emits cases whose
+//! *expected* outcome is a clean run (apps `Completed` or `Failed`, zero
+//! audit violations, `validate()` empty). In particular a watchdog is
+//! always armed when hang faults are possible, so a deadlock is a bug,
+//! never an expected outcome. [`Chaos::run`] builds the simulator with
+//! the auditor enabled, runs it (panics caught), and classifies the
+//! outcome; [`Chaos::run_batch`] runs many cases as lanes of one merged
+//! event loop behind a per-case outcome memo.
 //!
 //! Everything is deterministic: the same soak seed yields the same
-//! cases, outcomes and repro files. JSON is hand-rolled (writer *and*
-//! parser, via [`crate::util::codec`]) because the vendored
-//! `serde_json` shim cannot round-trip nested structures.
+//! cases, outcomes and repro files. Chaos repros carry no `"kind"`
+//! field (they predate it).
 
-use crate::util::codec::{esc_json, fnv1a, parse_json};
-use crate::util::write_atomic;
+use crate::soak::{guarded, Outcome, OutcomeOf, Soak, REPRO_VERSION};
+use crate::util::codec::{esc_json, fnv1a, Json};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,9 +30,6 @@ use hq_des::time::Dur;
 use hq_gpu::prelude::*;
 use hq_gpu::validate::validate;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Repro file format version (bump on incompatible `CaseSpec` change).
-pub const REPRO_VERSION: u64 = 1;
 
 // ---------------------------------------------------------------------
 // Case specification
@@ -161,9 +153,9 @@ fn gen_kernel(rng: &mut DetRng) -> KernelSpec {
 }
 
 /// Draw one random case. The generator keeps every case inside the
-/// "expected clean" envelope documented on the module: kernels fit the
-/// SMX limits, no program deadlocks by construction, and the watchdog
-/// is armed whenever a hang is possible.
+/// "expected clean" envelope documented on the module: kernels fit
+/// the SMX limits, no program deadlocks by construction, and the
+/// watchdog is armed whenever a hang is possible.
 pub fn gen_case(rng: &mut DetRng) -> CaseSpec {
     let napps = rng.gen_range(1usize..=5);
     let nstreams = rng.gen_range(1u32..=napps as u32);
@@ -257,31 +249,41 @@ pub enum FailureKind {
     Panic,
 }
 
-/// Outcome of one chaos case.
-#[derive(Clone, Debug)]
-pub enum CaseOutcome {
-    /// The case ran clean: no panic, no error, no validate violations.
-    /// Carries the number of simulation events the case processed, so
-    /// the soak can report events/s throughput.
-    Pass {
-        /// Events popped by the case's event loop.
-        events: u64,
-    },
-    /// The case failed (category + human-readable detail).
-    Fail(FailureKind, String),
+impl std::fmt::Display for FailureKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self, f)
+    }
 }
 
-impl CaseOutcome {
-    /// True for [`CaseOutcome::Pass`].
-    pub fn passed(&self) -> bool {
-        matches!(self, CaseOutcome::Pass { .. })
-    }
+/// Tallies of a passing chaos case.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ChaosStats {
+    /// Events popped by the case's event loop, so a soak can report
+    /// events/s throughput.
+    pub events: u64,
+}
 
+impl std::ops::AddAssign for ChaosStats {
+    fn add_assign(&mut self, other: ChaosStats) {
+        self.events += other.events;
+    }
+}
+
+impl std::fmt::Display for ChaosStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} events", self.events)
+    }
+}
+
+/// Outcome of one chaos case.
+pub type CaseOutcome = OutcomeOf<Chaos>;
+
+impl CaseOutcome {
     /// Events processed by a passing case (0 for failures).
     pub fn events(&self) -> u64 {
         match self {
-            CaseOutcome::Pass { events } => *events,
-            CaseOutcome::Fail(..) => 0,
+            Outcome::Pass(stats) => stats.events,
+            Outcome::Fail(..) => 0,
         }
     }
 }
@@ -360,19 +362,17 @@ fn build_sim(spec: &CaseSpec) -> GpuSim {
 /// paths, so both produce identical outcomes for identical runs).
 fn classify(run: Result<SimResult, SimError>) -> CaseOutcome {
     match run {
-        Err(e @ SimError::AuditFailure { .. }) => {
-            CaseOutcome::Fail(FailureKind::Audit, e.to_string())
-        }
-        Err(e @ SimError::Deadlock { .. }) => CaseOutcome::Fail(FailureKind::Deadlock, e.to_string()),
-        Err(e) => CaseOutcome::Fail(FailureKind::Error, e.to_string()),
+        Err(e @ SimError::AuditFailure { .. }) => Outcome::Fail(FailureKind::Audit, e.to_string()),
+        Err(e @ SimError::Deadlock { .. }) => Outcome::Fail(FailureKind::Deadlock, e.to_string()),
+        Err(e) => Outcome::Fail(FailureKind::Error, e.to_string()),
         Ok(result) => {
             let violations = validate(&result);
             if violations.is_empty() {
-                CaseOutcome::Pass {
+                Outcome::Pass(ChaosStats {
                     events: result.events,
-                }
+                })
             } else {
-                CaseOutcome::Fail(
+                Outcome::Fail(
                     FailureKind::Validate,
                     violations
                         .iter()
@@ -385,30 +385,8 @@ fn classify(run: Result<SimResult, SimError>) -> CaseOutcome {
     }
 }
 
-fn panic_outcome(panic: Box<dyn std::any::Any + Send>) -> CaseOutcome {
-    let msg = panic
-        .downcast_ref::<String>()
-        .map(|s| s.as_str())
-        .or_else(|| panic.downcast_ref::<&str>().copied())
-        .unwrap_or("<non-string panic>");
-    CaseOutcome::Fail(FailureKind::Panic, format!("panic: {msg}"))
-}
-
-/// Build and run one case with the auditor enabled; classify the
-/// outcome. Panics inside the simulator are caught and reported as
-/// failures rather than tearing down the soak. Bypasses the per-case
-/// memo (the shrinker *wants* fresh runs of mutated specs; they would
-/// miss anyway).
-pub fn run_case(spec: &CaseSpec) -> CaseOutcome {
-    let spec = spec.clone();
-    match catch_unwind(AssertUnwindSafe(move || build_sim(&spec).run())) {
-        Err(panic) => panic_outcome(panic),
-        Ok(run) => classify(run),
-    }
-}
-
 // ---------------------------------------------------------------------
-// Batched case execution
+// Per-case outcome memo (batched execution)
 // ---------------------------------------------------------------------
 
 /// Per-case outcome memo keyed by the case's canonical JSON rendering
@@ -449,67 +427,8 @@ pub fn reset_case_cache() {
     CASE_MISSES.store(0, Ordering::Relaxed);
 }
 
-/// Run many cases as lanes of one merged event loop (see
-/// `hq_gpu::sim::run_batch`), consulting the per-case memo first.
-/// Outcome classification is identical to [`run_case`] per spec, in
-/// order. If anything in the batched pass panics, the whole chunk
-/// falls back to serial [`run_case`] calls — the batch loop cannot
-/// attribute a panic to a lane the way `catch_unwind` around a single
-/// case can, and chaos cases are exactly the workload expected to
-/// probe such corners.
-pub fn run_case_batch(specs: &[CaseSpec]) -> Vec<CaseOutcome> {
-    let cached = case_cache_enabled();
-    let mut results: Vec<Option<CaseOutcome>> = specs.iter().map(|_| None).collect();
-    let mut keys: Vec<Option<(u64, String)>> = specs.iter().map(|_| None).collect();
-    let mut cold: Vec<usize> = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        if !cached {
-            cold.push(i);
-            continue;
-        }
-        let pre = case_to_json(spec);
-        let key = fnv1a(pre.as_bytes());
-        if let Some(out) = {
-            let memo = case_memo().lock();
-            memo.get(&key)
-                .filter(|(stored, _)| *stored == pre)
-                .map(|(_, out)| out.clone())
-        } {
-            CASE_HITS.fetch_add(1, Ordering::Relaxed);
-            results[i] = Some(out);
-            continue;
-        }
-        CASE_MISSES.fetch_add(1, Ordering::Relaxed);
-        keys[i] = Some((key, pre));
-        cold.push(i);
-    }
-    if !cold.is_empty() {
-        let cold_specs: Vec<CaseSpec> = cold.iter().map(|&i| specs[i].clone()).collect();
-        let batched = catch_unwind(AssertUnwindSafe(|| {
-            let sims: Vec<GpuSim> = cold_specs.iter().map(build_sim).collect();
-            hq_gpu::sim::run_batch(sims)
-        }));
-        let outcomes: Vec<CaseOutcome> = match batched {
-            Ok(batch) => batch.results.into_iter().map(classify).collect(),
-            // A panic mid-batch poisons lane attribution: rerun the
-            // cold cases serially, each under its own catch_unwind.
-            Err(_) => cold_specs.iter().map(run_case).collect(),
-        };
-        for (&i, out) in cold.iter().zip(outcomes) {
-            if let Some((key, pre)) = keys[i].take() {
-                case_memo().lock().insert(key, (pre, out.clone()));
-            }
-            results[i] = Some(out);
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every case resolved"))
-        .collect()
-}
-
 // ---------------------------------------------------------------------
-// Shrinking
+// Shrinking and the repro layout
 // ---------------------------------------------------------------------
 
 fn drop_app(spec: &CaseSpec, i: usize) -> CaseSpec {
@@ -526,125 +445,14 @@ fn drop_app(spec: &CaseSpec, i: usize) -> CaseSpec {
     s
 }
 
-/// One round of shrink candidates, smallest-step first. Greedy: the
-/// caller accepts the first candidate that still fails.
-fn candidates(spec: &CaseSpec) -> Vec<CaseSpec> {
-    let mut out = Vec::new();
-    // Drop whole apps (biggest wins first).
-    for i in 0..spec.apps.len() {
-        if spec.apps.len() > 1 {
-            out.push(drop_app(spec, i));
-        }
+fn fault_kind_from_str(s: &str) -> Result<FaultKind, String> {
+    match s {
+        "copy-fail" => Ok(FaultKind::CopyFail),
+        "kernel-fault" => Ok(FaultKind::KernelFault),
+        "kernel-hang" => Ok(FaultKind::KernelHang),
+        other => Err(format!("unknown fault kind '{other}'")),
     }
-    // Drop scripted faults.
-    for i in 0..spec.faults.len() {
-        let mut s = spec.clone();
-        s.faults.remove(i);
-        out.push(s);
-    }
-    // Zero background rates.
-    for f in [
-        |s: &mut CaseSpec| s.copy_fail_pm = 0,
-        |s: &mut CaseSpec| s.kernel_fault_pm = 0,
-        |s: &mut CaseSpec| s.kernel_hang_pm = 0,
-    ] {
-        let mut s = spec.clone();
-        f(&mut s);
-        if s != *spec {
-            out.push(s);
-        }
-    }
-    // Per-app simplifications.
-    for i in 0..spec.apps.len() {
-        let a = &spec.apps[i];
-        if a.kernels.len() > 1 {
-            let mut s = spec.clone();
-            s.apps[i].kernels.truncate(1);
-            out.push(s);
-        }
-        if a.htod_kb > 1 || a.dtoh_kb > 1 {
-            let mut s = spec.clone();
-            s.apps[i].htod_kb = (a.htod_kb / 2).max(1);
-            s.apps[i].dtoh_kb = (a.dtoh_kb / 2).max(1);
-            out.push(s);
-        }
-        if a.use_mutex {
-            let mut s = spec.clone();
-            s.apps[i].use_mutex = false;
-            out.push(s);
-        }
-        for (j, k) in a.kernels.iter().enumerate() {
-            if k.blocks > 1 || k.work_us > 1 {
-                let mut s = spec.clone();
-                s.apps[i].kernels[j].blocks = (k.blocks / 2).max(1);
-                s.apps[i].kernels[j].work_us = (k.work_us / 2).max(1);
-                out.push(s);
-            }
-            if k.smem_kb > 0 || k.regs > 16 {
-                let mut s = spec.clone();
-                s.apps[i].kernels[j].smem_kb = 0;
-                s.apps[i].kernels[j].regs = 16;
-                out.push(s);
-            }
-        }
-    }
-    // Device simplifications.
-    for f in [
-        |s: &mut CaseSpec| s.chunk_kb = 0,
-        |s: &mut CaseSpec| s.issue_order = false,
-        |s: &mut CaseSpec| s.conservative_fit = false,
-        |s: &mut CaseSpec| s.jitter_ns = 0,
-        |s: &mut CaseSpec| s.stagger_us = 0,
-        |s: &mut CaseSpec| s.hw_queues = 32,
-        |s: &mut CaseSpec| s.num_smx = 13,
-        |s: &mut CaseSpec| {
-            if !s.hangs_possible() {
-                s.watchdog_us = 0;
-            }
-        },
-    ] {
-        let mut s = spec.clone();
-        f(&mut s);
-        if s != *spec {
-            out.push(s);
-        }
-    }
-    out
 }
-
-/// Greedily minimize a failing case: repeatedly accept the first
-/// candidate that still fails in the same category, until no candidate
-/// does (or a round budget is exhausted). Returns the minimized spec
-/// and the number of accepted shrink steps.
-pub fn shrink(spec: &CaseSpec, kind: FailureKind) -> (CaseSpec, usize) {
-    let mut current = spec.clone();
-    let mut steps = 0;
-    // Bounded: each accepted step strictly simplifies, but cap rounds
-    // to keep pathological cases from soaking the soak.
-    for _ in 0..200 {
-        let mut advanced = false;
-        for cand in candidates(&current) {
-            if let CaseOutcome::Fail(k, _) = run_case(&cand) {
-                if k == kind {
-                    current = cand;
-                    steps += 1;
-                    advanced = true;
-                    break;
-                }
-            }
-        }
-        if !advanced {
-            break;
-        }
-    }
-    (current, steps)
-}
-
-// ---------------------------------------------------------------------
-// JSON repro files (hand-rolled writer + the shared `util::codec`
-// parser; the vendored serde_json shim cannot round-trip nested
-// structures)
-// ---------------------------------------------------------------------
 
 /// Serialize a case (with format version) into a pretty JSON repro.
 pub fn case_to_json(spec: &CaseSpec) -> String {
@@ -709,98 +517,243 @@ pub fn case_to_json(spec: &CaseSpec) -> String {
     s
 }
 
-fn fault_kind_from_str(s: &str) -> Result<FaultKind, String> {
-    match s {
-        "copy-fail" => Ok(FaultKind::CopyFail),
-        "kernel-fault" => Ok(FaultKind::KernelFault),
-        "kernel-hang" => Ok(FaultKind::KernelHang),
-        other => Err(format!("unknown fault kind '{other}'")),
-    }
-}
+// ---------------------------------------------------------------------
+// The soak
+// ---------------------------------------------------------------------
 
-/// Parse a repro JSON back into a [`CaseSpec`].
-pub fn case_from_json(text: &str) -> Result<CaseSpec, String> {
-    let root = parse_json(text)?;
-    let version = root.num("version")?;
-    if version != REPRO_VERSION {
-        return Err(format!(
-            "repro format version {version} unsupported (expected {REPRO_VERSION})"
-        ));
+/// The chaos soak over the simulator (see the module docs).
+pub struct Chaos;
+
+impl Soak for Chaos {
+    type Case = CaseSpec;
+    type Failure = FailureKind;
+    type Stats = ChaosStats;
+    const KIND: &'static str = "chaos";
+    const SHRINK_ROUNDS: usize = 200;
+    const PANIC: FailureKind = FailureKind::Panic;
+
+    fn gen(rng: &mut DetRng) -> CaseSpec {
+        gen_case(rng)
     }
-    let mut apps = Vec::new();
-    for a in root.arr("apps")? {
-        let mut kernels = Vec::new();
-        for k in a.arr("kernels")? {
-            kernels.push(KernelSpec {
-                blocks: k.num("blocks")? as u32,
-                tpb: k.num("tpb")? as u32,
-                work_us: k.num("work_us")? as u32,
-                smem_kb: k.num("smem_kb")? as u32,
-                regs: k.num("regs")? as u32,
+
+    /// Build and run one case with the auditor enabled; classify the
+    /// outcome. Bypasses the per-case memo (the shrinker *wants* fresh
+    /// runs of mutated specs; they would miss anyway).
+    fn run(spec: &CaseSpec) -> CaseOutcome {
+        guarded::<Chaos>(|| classify(build_sim(spec).run()))
+    }
+
+    /// Run many cases as lanes of one merged event loop (see
+    /// `hq_gpu::sim::run_batch`), consulting the per-case memo first.
+    /// Outcome classification is identical to [`Chaos::run`] per spec,
+    /// in order. If anything in the batched pass panics, the whole chunk
+    /// falls back to serial [`Chaos::run`] calls — the batch loop cannot
+    /// attribute a panic to a lane the way `catch_unwind` around a
+    /// single case can, and chaos cases are exactly the workload
+    /// expected to probe such corners.
+    fn run_batch(specs: &[CaseSpec]) -> Vec<CaseOutcome> {
+        let cached = case_cache_enabled();
+        let mut results: Vec<Option<CaseOutcome>> = specs.iter().map(|_| None).collect();
+        let mut keys: Vec<Option<(u64, String)>> = specs.iter().map(|_| None).collect();
+        let mut cold: Vec<usize> = Vec::new();
+        for (i, spec) in specs.iter().enumerate() {
+            if !cached {
+                cold.push(i);
+                continue;
+            }
+            let pre = case_to_json(spec);
+            let key = fnv1a(pre.as_bytes());
+            if let Some(out) = {
+                let memo = case_memo().lock();
+                memo.get(&key)
+                    .filter(|(stored, _)| *stored == pre)
+                    .map(|(_, out)| out.clone())
+            } {
+                CASE_HITS.fetch_add(1, Ordering::Relaxed);
+                results[i] = Some(out);
+                continue;
+            }
+            CASE_MISSES.fetch_add(1, Ordering::Relaxed);
+            keys[i] = Some((key, pre));
+            cold.push(i);
+        }
+        if !cold.is_empty() {
+            let cold_specs: Vec<CaseSpec> = cold.iter().map(|&i| specs[i].clone()).collect();
+            let batched = catch_unwind(AssertUnwindSafe(|| {
+                let sims: Vec<GpuSim> = cold_specs.iter().map(build_sim).collect();
+                hq_gpu::sim::run_batch(sims)
+            }));
+            let outcomes: Vec<CaseOutcome> = match batched {
+                Ok(batch) => batch.results.into_iter().map(classify).collect(),
+                // A panic mid-batch poisons lane attribution: rerun the
+                // cold cases serially, each under its own catch_unwind.
+                Err(_) => cold_specs.iter().map(Chaos::run).collect(),
+            };
+            for (&i, out) in cold.iter().zip(outcomes) {
+                if let Some((key, pre)) = keys[i].take() {
+                    case_memo().lock().insert(key, (pre, out.clone()));
+                }
+                results[i] = Some(out);
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every case resolved"))
+            .collect()
+    }
+
+    /// Drop apps, drop faults, zero rates, shrink sizes, simplify the
+    /// device.
+    fn candidates(spec: &CaseSpec) -> Vec<CaseSpec> {
+        let mut out = Vec::new();
+        // Drop whole apps (biggest wins first).
+        for i in 0..spec.apps.len() {
+            if spec.apps.len() > 1 {
+                out.push(drop_app(spec, i));
+            }
+        }
+        // Drop scripted faults.
+        for i in 0..spec.faults.len() {
+            let mut s = spec.clone();
+            s.faults.remove(i);
+            out.push(s);
+        }
+        // Zero background rates.
+        for f in [
+            |s: &mut CaseSpec| s.copy_fail_pm = 0,
+            |s: &mut CaseSpec| s.kernel_fault_pm = 0,
+            |s: &mut CaseSpec| s.kernel_hang_pm = 0,
+        ] {
+            let mut s = spec.clone();
+            f(&mut s);
+            if s != *spec {
+                out.push(s);
+            }
+        }
+        // Per-app simplifications.
+        for i in 0..spec.apps.len() {
+            let a = &spec.apps[i];
+            if a.kernels.len() > 1 {
+                let mut s = spec.clone();
+                s.apps[i].kernels.truncate(1);
+                out.push(s);
+            }
+            if a.htod_kb > 1 || a.dtoh_kb > 1 {
+                let mut s = spec.clone();
+                s.apps[i].htod_kb = (a.htod_kb / 2).max(1);
+                s.apps[i].dtoh_kb = (a.dtoh_kb / 2).max(1);
+                out.push(s);
+            }
+            if a.use_mutex {
+                let mut s = spec.clone();
+                s.apps[i].use_mutex = false;
+                out.push(s);
+            }
+            for (j, k) in a.kernels.iter().enumerate() {
+                if k.blocks > 1 || k.work_us > 1 {
+                    let mut s = spec.clone();
+                    s.apps[i].kernels[j].blocks = (k.blocks / 2).max(1);
+                    s.apps[i].kernels[j].work_us = (k.work_us / 2).max(1);
+                    out.push(s);
+                }
+                if k.smem_kb > 0 || k.regs > 16 {
+                    let mut s = spec.clone();
+                    s.apps[i].kernels[j].smem_kb = 0;
+                    s.apps[i].kernels[j].regs = 16;
+                    out.push(s);
+                }
+            }
+        }
+        // Device simplifications.
+        for f in [
+            |s: &mut CaseSpec| s.chunk_kb = 0,
+            |s: &mut CaseSpec| s.issue_order = false,
+            |s: &mut CaseSpec| s.conservative_fit = false,
+            |s: &mut CaseSpec| s.jitter_ns = 0,
+            |s: &mut CaseSpec| s.stagger_us = 0,
+            |s: &mut CaseSpec| s.hw_queues = 32,
+            |s: &mut CaseSpec| s.num_smx = 13,
+            |s: &mut CaseSpec| {
+                if !s.hangs_possible() {
+                    s.watchdog_us = 0;
+                }
+            },
+        ] {
+            let mut s = spec.clone();
+            f(&mut s);
+            if s != *spec {
+                out.push(s);
+            }
+        }
+        out
+    }
+
+    fn to_json(case: &CaseSpec) -> String {
+        case_to_json(case)
+    }
+
+    /// Every integer must fit its field: an oversized value is an error,
+    /// never a silently truncated case.
+    fn from_json(root: &Json) -> Result<CaseSpec, String> {
+        let mut apps = Vec::new();
+        for a in root.arr("apps")? {
+            let mut kernels = Vec::new();
+            for k in a.arr("kernels")? {
+                kernels.push(KernelSpec {
+                    blocks: k.int("blocks")?,
+                    tpb: k.int("tpb")?,
+                    work_us: k.int("work_us")?,
+                    smem_kb: k.int("smem_kb")?,
+                    regs: k.int("regs")?,
+                });
+            }
+            if kernels.is_empty() {
+                return Err("app with no kernels".into());
+            }
+            apps.push(AppSpec {
+                stream: a.int("stream")?,
+                htod_kb: a.int("htod_kb")?,
+                dtoh_kb: a.int("dtoh_kb")?,
+                kernels,
+                use_mutex: a.boolean("use_mutex")?,
+                mutex_sync: a.boolean("mutex_sync")?,
             });
         }
-        if kernels.is_empty() {
-            return Err("app with no kernels".into());
+        if apps.is_empty() {
+            return Err("repro has no apps".into());
         }
-        apps.push(AppSpec {
-            stream: a.num("stream")? as u32,
-            htod_kb: a.num("htod_kb")? as u32,
-            dtoh_kb: a.num("dtoh_kb")? as u32,
-            kernels,
-            use_mutex: a.boolean("use_mutex")?,
-            mutex_sync: a.boolean("mutex_sync")?,
-        });
+        let mut faults = Vec::new();
+        for f in root.arr("faults")? {
+            faults.push(ScriptedFault {
+                kind: fault_kind_from_str(f.str_field("kind")?)?,
+                app: f.int("app")?,
+                nth: f.int("nth")?,
+            });
+        }
+        Ok(CaseSpec {
+            seed: root.num("seed")?,
+            num_smx: root.int("num_smx")?,
+            hw_queues: root.int("hw_queues")?,
+            conservative_fit: root.boolean("conservative_fit")?,
+            issue_order: root.boolean("issue_order")?,
+            chunk_kb: root.int("chunk_kb")?,
+            stagger_us: root.int("stagger_us")?,
+            jitter_ns: root.int("jitter_ns")?,
+            watchdog_us: root.int("watchdog_us")?,
+            apps,
+            faults,
+            copy_fail_pm: root.int("copy_fail_pm")?,
+            kernel_fault_pm: root.int("kernel_fault_pm")?,
+            kernel_hang_pm: root.int("kernel_hang_pm")?,
+            fault_seed: root.num("fault_seed")?,
+        })
     }
-    if apps.is_empty() {
-        return Err("repro has no apps".into());
-    }
-    let mut faults = Vec::new();
-    for f in root.arr("faults")? {
-        faults.push(ScriptedFault {
-            kind: fault_kind_from_str(f.str_field("kind")?)?,
-            app: f.num("app")? as u32,
-            nth: f.num("nth")? as u32,
-        });
-    }
-    Ok(CaseSpec {
-        seed: root.num("seed")?,
-        num_smx: root.num("num_smx")? as u32,
-        hw_queues: root.num("hw_queues")? as u32,
-        conservative_fit: root.boolean("conservative_fit")?,
-        issue_order: root.boolean("issue_order")?,
-        chunk_kb: root.num("chunk_kb")? as u32,
-        stagger_us: root.num("stagger_us")? as u32,
-        jitter_ns: root.num("jitter_ns")? as u32,
-        watchdog_us: root.num("watchdog_us")? as u32,
-        apps,
-        faults,
-        copy_fail_pm: root.num("copy_fail_pm")? as u32,
-        kernel_fault_pm: root.num("kernel_fault_pm")? as u32,
-        kernel_hang_pm: root.num("kernel_hang_pm")? as u32,
-        fault_seed: root.num("fault_seed")?,
-    })
-}
-
-/// Write a repro file crash-safely: the JSON goes through
-/// [`write_atomic`] (fsync + rename), so a crash mid-shrink can never
-/// leave a torn repro behind — the file is either absent or complete.
-pub fn write_repro(path: &std::path::Path, spec: &CaseSpec) -> std::io::Result<()> {
-    write_atomic(path, &case_to_json(spec))
-}
-
-/// Load a repro file and replay it with the auditor enabled. Returns
-/// `Ok(outcome)` when the file parses (the *case* may still fail — the
-/// point of a repro), `Err` when the file itself is unusable.
-pub fn run_repro(path: &std::path::Path) -> Result<CaseOutcome, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let spec = case_from_json(&text)?;
-    Ok(run_case(&spec))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soak::{parse_repro, shrink, write_repro};
 
     #[test]
     fn generated_cases_round_trip_through_json() {
@@ -808,7 +761,7 @@ mod tests {
         for _ in 0..50 {
             let spec = gen_case(&mut rng);
             let json = case_to_json(&spec);
-            let back = case_from_json(&json).expect("parse back");
+            let back = parse_repro::<Chaos>(&json).expect("parse back");
             assert_eq!(spec, back, "JSON round-trip changed the case");
         }
     }
@@ -842,7 +795,7 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(2026);
         for i in 0..20 {
             let spec = gen_case(&mut rng);
-            let outcome = run_case(&spec);
+            let outcome = Chaos::run(&spec);
             assert!(
                 outcome.passed(),
                 "case {i} failed: {outcome:?}\nspec: {spec:?}"
@@ -852,10 +805,28 @@ mod tests {
 
     #[test]
     fn parser_rejects_garbage() {
-        assert!(case_from_json("").is_err());
-        assert!(case_from_json("{}").is_err());
-        assert!(case_from_json("{\"version\": 999}").is_err());
-        assert!(case_from_json("not json at all").is_err());
+        assert!(parse_repro::<Chaos>("").is_err());
+        assert!(parse_repro::<Chaos>("{}").is_err());
+        assert!(parse_repro::<Chaos>("{\"version\": 999}").is_err());
+        assert!(parse_repro::<Chaos>("not json at all").is_err());
+    }
+
+    /// A value that does not fit its field is rejected rather than
+    /// truncated: `"blocks": 4294967297` must not replay as 1 block.
+    #[test]
+    fn oversized_fields_are_rejected() {
+        let mut spec = gen_case(&mut DetRng::seed_from_u64(4));
+        spec.apps[0].kernels[0].blocks = 7;
+        let json = case_to_json(&spec);
+        let blocks = json.replacen("\"blocks\": 7,", "\"blocks\": 4294967297,", 1);
+        let err = parse_repro::<Chaos>(&blocks).unwrap_err();
+        assert!(err.contains("'blocks' out of range"), "{err}");
+        let smx = json.replace(
+            &format!("\"num_smx\": {},", spec.num_smx),
+            "\"num_smx\": 4294967296,",
+        );
+        let err = parse_repro::<Chaos>(&smx).unwrap_err();
+        assert!(err.contains("'num_smx' out of range"), "{err}");
     }
 
     /// A torn repro file (crash mid-write before `write_repro` existed,
@@ -874,14 +845,14 @@ mod tests {
                 continue;
             }
             assert!(
-                case_from_json(&json[..cut]).is_err(),
+                parse_repro::<Chaos>(&json[..cut]).is_err(),
                 "prefix of {cut} bytes parsed as a full case"
             );
         }
-        assert!(case_from_json(&json).is_ok());
+        assert!(parse_repro::<Chaos>(&json).is_ok());
     }
 
-    /// `write_repro` round-trips through `run_repro` and leaves no
+    /// `write_repro` round-trips through `parse_repro` and leaves no
     /// temp file behind.
     #[test]
     fn write_repro_round_trips() {
@@ -889,8 +860,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("case.json");
         let spec = gen_case(&mut DetRng::seed_from_u64(8));
-        write_repro(&path, &spec).unwrap();
-        let back = case_from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        write_repro::<Chaos>(&path, &spec).unwrap();
+        let back = parse_repro::<Chaos>(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(spec, back);
         assert!(!dir.join("case.json.tmp").exists(), "temp file left behind");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -919,25 +890,25 @@ mod tests {
             app: 0,
             nth: 0,
         }];
-        let outcome = run_case(&spec);
-        let CaseOutcome::Fail(kind, _) = outcome else {
+        let outcome = Chaos::run(&spec);
+        let Outcome::Fail(kind, _) = outcome else {
             panic!("hang without watchdog must fail");
         };
         assert_eq!(kind, FailureKind::Deadlock);
-        let (small, steps) = shrink(&spec, kind);
+        let (small, steps) = shrink::<Chaos>(&spec, kind);
         assert!(steps > 0, "shrinker made no progress");
         assert!(small.apps.len() <= spec.apps.len());
         assert_eq!(small.apps.len(), 1, "deadlock case should shrink to 1 app");
         // The minimized case still fails the same way...
-        let CaseOutcome::Fail(k2, _) = run_case(&small) else {
+        let Outcome::Fail(k2, _) = Chaos::run(&small) else {
             panic!("shrunk case no longer fails");
         };
         assert_eq!(k2, FailureKind::Deadlock);
         // ...and survives the repro round-trip.
         let json = case_to_json(&small);
-        let back = case_from_json(&json).expect("repro parses");
+        let back = parse_repro::<Chaos>(&json).expect("repro parses");
         assert_eq!(small, back);
-        let CaseOutcome::Fail(k3, _) = run_case(&back) else {
+        let Outcome::Fail(k3, _) = Chaos::run(&back) else {
             panic!("repro case no longer fails");
         };
         assert_eq!(k3, FailureKind::Deadlock);

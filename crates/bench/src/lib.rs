@@ -14,6 +14,7 @@ pub mod chaos;
 pub mod experiments;
 pub mod scenario;
 pub mod service;
+pub mod soak;
 pub mod suite;
 pub mod torture;
 pub mod util;

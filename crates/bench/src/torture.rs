@@ -3,7 +3,8 @@
 //! shrinker and JSON repro files.
 //!
 //! Where [`crate::chaos`] tortures the *simulator*, this module
-//! tortures the *serving plane* around it. One [`TortureCase`] spins up
+//! tortures the *serving plane* around it, as the [`Torture`]
+//! [`Soak`](crate::soak::Soak). One [`TortureCase`] spins up
 //! a real [`Server`](crate::service::Server) on a Unix socket, arms a
 //! seeded [`IoFaultPlan`] scoped (by path filter) to the case's journal
 //! and artifact store, and drives it with per-tenant client threads
@@ -13,7 +14,7 @@
 //! behave like disciplined production callers: reconnect on transport
 //! death and resubmit with the *same* idempotency key.
 //!
-//! [`run_case`] checks four end-to-end invariants, each its own
+//! [`Torture::run`] checks four end-to-end invariants, each its own
 //! [`TortureFailure`] category:
 //!
 //! 1. **No acked job is ever lost** ([`TortureFailure::AckLoss`]) —
@@ -30,10 +31,10 @@
 //!    burst, `scrub --repair` followed by a verify-only scrub must
 //!    leave a clean store, whatever the fault plan did to it.
 //!
-//! On failure, [`shrink`] greedily minimizes the case (fewer tenants,
-//! fewer jobs, fault rates zeroed) while the same failure category
-//! reproduces, and the result is written as a JSON repro via
-//! [`write_repro`] / replayed via [`run_repro`].
+//! On failure, the shared [`crate::soak`] driver shrinks the case
+//! (fewer tenants, fewer jobs, fault rates zeroed) while the same
+//! failure category reproduces, and writes it as a JSON repro that
+//! carries `"kind": "torture"`.
 //!
 //! Case *generation* is deterministic (same soak seed, same cases) and
 //! both fault streams are seeded; execution involves real threads, so a
@@ -45,22 +46,16 @@ use crate::service::scrub::{scrub, ScrubOptions};
 use crate::service::{
     Client, JobSpec, Journal, NetFaultPlan, Reject, Request, Response, ServeOptions, Server,
 };
-use crate::util::codec::{fnv1a, parse_json};
+use crate::soak::{guarded, Outcome, OutcomeOf, Soak, REPRO_VERSION};
+use crate::util::codec::Json;
 use crate::util::io::{self, IoFaultPlan};
-use crate::util::write_atomic;
 use hq_des::rng::DetRng;
 use hq_workloads::apps::AppKind;
 use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Repro file format version (bump on incompatible `TortureCase`
-/// change). Torture repros also carry `"kind": "torture"` so they can
-/// never be confused with a chaos repro.
-pub const REPRO_VERSION: u64 = 1;
 
 // ---------------------------------------------------------------------
 // Case specification
@@ -213,21 +208,28 @@ pub struct TortureStats {
     pub net_faults: u64,
 }
 
-/// Outcome of one torture case.
-#[derive(Clone, Debug)]
-pub enum TortureOutcome {
-    /// All four invariants held.
-    Pass(TortureStats),
-    /// An invariant broke (category + human-readable detail).
-    Fail(TortureFailure, String),
-}
-
-impl TortureOutcome {
-    /// True for [`TortureOutcome::Pass`].
-    pub fn passed(&self) -> bool {
-        matches!(self, TortureOutcome::Pass(_))
+impl std::ops::AddAssign for TortureStats {
+    fn add_assign(&mut self, s: TortureStats) {
+        self.acked += s.acked;
+        self.resolved += s.resolved;
+        self.unaccepted += s.unaccepted;
+        self.io_faults += s.io_faults;
+        self.net_faults += s.net_faults;
     }
 }
+
+impl std::fmt::Display for TortureStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} acked, {} resolved, {} unaccepted, {} disk fault(s), {} net fault(s) injected",
+            self.acked, self.resolved, self.unaccepted, self.io_faults, self.net_faults
+        )
+    }
+}
+
+/// Outcome of one torture case: `Pass` when all four invariants held.
+pub type TortureOutcome = OutcomeOf<Torture>;
 
 /// Per-tenant burst results, folded into the case outcome.
 #[derive(Default)]
@@ -289,6 +291,21 @@ fn connect_client(
     None
 }
 
+/// The tenant's connected client, reconnecting first when the last one
+/// was retired. `None` when the server cannot be reached at all.
+fn live<'a>(
+    client: &'a mut Option<Client>,
+    socket: &Path,
+    case: &TortureCase,
+    tenant: u32,
+    conn_seq: &mut u64,
+) -> Option<&'a mut Client> {
+    if client.is_none() {
+        *client = connect_client(socket, case, tenant, conn_seq);
+    }
+    client.as_mut()
+}
+
 /// Harvest a client's injected-fault count before dropping it.
 fn retire(client: &mut Option<Client>, res: &mut TenantResult) {
     if let Some(c) = client.take() {
@@ -312,15 +329,8 @@ fn tenant_burst(socket: &Path, case: &TortureCase, tenant: u32) -> TenantResult 
         // idempotency key.
         let mut acked: Option<u64> = None;
         for _ in 0..24 {
-            let c = match client.as_mut() {
-                Some(c) => c,
-                None => {
-                    client = connect_client(socket, case, tenant, &mut conn_seq);
-                    match client.as_mut() {
-                        Some(c) => c,
-                        None => break,
-                    }
-                }
+            let Some(c) = live(&mut client, socket, case, tenant, &mut conn_seq) else {
+                break;
             };
             match c.call(&Request::Submit(spec.clone())) {
                 Ok(Response::Accepted(id)) => {
@@ -344,15 +354,8 @@ fn tenant_burst(socket: &Path, case: &TortureCase, tenant: u32) -> TenantResult 
         // answer the original id — acked duplicates with a fresh id
         // would be a double-run.
         for _ in 0..12 {
-            let c = match client.as_mut() {
-                Some(c) => c,
-                None => {
-                    client = connect_client(socket, case, tenant, &mut conn_seq);
-                    match client.as_mut() {
-                        Some(c) => c,
-                        None => break,
-                    }
-                }
+            let Some(c) = live(&mut client, socket, case, tenant, &mut conn_seq) else {
+                break;
             };
             match c.call(&Request::Submit(spec.clone())) {
                 Ok(Response::Accepted(id2)) => {
@@ -387,15 +390,8 @@ fn tenant_burst(socket: &Path, case: &TortureCase, tenant: u32) -> TenantResult 
         // ok, failed, panicked, deadline — counts; vanishing does not).
         let mut resolved = false;
         for _ in 0..12 {
-            let c = match client.as_mut() {
-                Some(c) => c,
-                None => {
-                    client = connect_client(socket, case, tenant, &mut conn_seq);
-                    match client.as_mut() {
-                        Some(c) => c,
-                        None => break,
-                    }
-                }
+            let Some(c) = live(&mut client, socket, case, tenant, &mut conn_seq) else {
+                break;
             };
             match c.call(&Request::Wait(id)) {
                 Ok(Response::Done(_, _)) => {
@@ -425,25 +421,8 @@ fn tenant_burst(socket: &Path, case: &TortureCase, tenant: u32) -> TenantResult 
     res
 }
 
-fn panic_msg(panic: Box<dyn std::any::Any + Send>) -> String {
-    let msg = panic
-        .downcast_ref::<String>()
-        .map(|s| s.as_str())
-        .or_else(|| panic.downcast_ref::<&str>().copied())
-        .unwrap_or("<non-string panic>");
-    format!("panic: {msg}")
-}
-
-/// Run one case end to end; harness panics are caught and classified.
-pub fn run_case(case: &TortureCase) -> TortureOutcome {
-    let case = case.clone();
-    match catch_unwind(AssertUnwindSafe(move || run_case_inner(&case))) {
-        Err(panic) => TortureOutcome::Fail(TortureFailure::Panic, panic_msg(panic)),
-        Ok(outcome) => outcome,
-    }
-}
-
-fn run_case_inner(case: &TortureCase) -> TortureOutcome {
+/// Run one case end to end (see [`Torture::run`] for the panic guard).
+fn run_case(case: &TortureCase) -> TortureOutcome {
     let root = std::env::temp_dir().join(format!(
         "hq-torture-{}-{}",
         std::process::id(),
@@ -535,7 +514,7 @@ fn run_case_inner(case: &TortureCase) -> TortureOutcome {
         acked_ids.extend(&r.acked_ids);
         if let Some((kind, detail)) = &r.violation {
             let _ = std::fs::remove_dir_all(&root);
-            return TortureOutcome::Fail(*kind, detail.clone());
+            return Outcome::Fail(*kind, detail.clone());
         }
     }
 
@@ -549,7 +528,7 @@ fn run_case_inner(case: &TortureCase) -> TortureOutcome {
             Ok(v) => {
                 if !v.header_ok || !v.bad_lines.is_empty() {
                     let _ = std::fs::remove_dir_all(&root);
-                    return TortureOutcome::Fail(
+                    return Outcome::Fail(
                         TortureFailure::Durability,
                         format!(
                             "no bit flips were planned, yet the journal has unparseable records (header_ok={}, bad lines {:?})",
@@ -560,7 +539,7 @@ fn run_case_inner(case: &TortureCase) -> TortureOutcome {
                 let durable: HashSet<u64> = v.accepted.iter().map(|(id, _)| *id).collect();
                 if let Some(id) = acked_ids.iter().find(|id| !durable.contains(id)) {
                     let _ = std::fs::remove_dir_all(&root);
-                    return TortureOutcome::Fail(
+                    return Outcome::Fail(
                         TortureFailure::Durability,
                         format!("id {id} was acked but has no journal record"),
                     );
@@ -568,7 +547,7 @@ fn run_case_inner(case: &TortureCase) -> TortureOutcome {
             }
             Err(e) => {
                 let _ = std::fs::remove_dir_all(&root);
-                return TortureOutcome::Fail(
+                return Outcome::Fail(
                     TortureFailure::Durability,
                     format!("journal unverifiable: {e}"),
                 );
@@ -587,14 +566,14 @@ fn run_case_inner(case: &TortureCase) -> TortureOutcome {
         Ok(r) if r.clean() => {}
         Ok(r) => {
             let _ = std::fs::remove_dir_all(&root);
-            return TortureOutcome::Fail(
+            return Outcome::Fail(
                 TortureFailure::Scrub,
                 format!("scrub --repair left damage:\n{}", r.render()),
             );
         }
         Err(e) => {
             let _ = std::fs::remove_dir_all(&root);
-            return TortureOutcome::Fail(TortureFailure::Scrub, format!("scrub --repair: {e}"));
+            return Outcome::Fail(TortureFailure::Scrub, format!("scrub --repair: {e}"));
         }
     }
     let verify = ScrubOptions {
@@ -607,89 +586,23 @@ fn run_case_inner(case: &TortureCase) -> TortureOutcome {
         Ok(r) if r.findings.is_empty() => {}
         Ok(r) => {
             let _ = std::fs::remove_dir_all(&root);
-            return TortureOutcome::Fail(
+            return Outcome::Fail(
                 TortureFailure::Scrub,
                 format!("store still dirty after repair:\n{}", r.render()),
             );
         }
         Err(e) => {
             let _ = std::fs::remove_dir_all(&root);
-            return TortureOutcome::Fail(TortureFailure::Scrub, format!("verify scrub: {e}"));
+            return Outcome::Fail(TortureFailure::Scrub, format!("verify scrub: {e}"));
         }
     }
 
     let _ = std::fs::remove_dir_all(&root);
-    TortureOutcome::Pass(stats)
+    Outcome::Pass(stats)
 }
 
 // ---------------------------------------------------------------------
-// Shrinking
-// ---------------------------------------------------------------------
-
-/// One-step simplifications of a case, most aggressive first.
-fn candidates(case: &TortureCase) -> Vec<TortureCase> {
-    let mut out = Vec::new();
-    if case.tenants > 1 {
-        out.push(TortureCase {
-            tenants: case.tenants - 1,
-            ..case.clone()
-        });
-    }
-    if case.jobs_per_tenant > 1 {
-        out.push(TortureCase {
-            jobs_per_tenant: case.jobs_per_tenant / 2,
-            ..case.clone()
-        });
-    }
-    let rates: [fn(&mut TortureCase) -> &mut u16; 9] = [
-        |c| &mut c.short_write_pm,
-        |c| &mut c.eintr_pm,
-        |c| &mut c.fsync_eio_pm,
-        |c| &mut c.enospc_pm,
-        |c| &mut c.torn_rename_pm,
-        |c| &mut c.bitflip_pm,
-        |c| &mut c.disconnect_pm,
-        |c| &mut c.trickle_pm,
-        |c| &mut c.lost_ack_pm,
-    ];
-    for f in rates {
-        let mut s = case.clone();
-        if *f(&mut s) > 0 {
-            *f(&mut s) = 0;
-            out.push(s);
-        }
-    }
-    out
-}
-
-/// Greedily minimize a failing case: accept the first candidate that
-/// still fails in the same category, until none does. Rounds are
-/// capped lower than the chaos shrinker's — every probe here stands up
-/// a real server.
-pub fn shrink(case: &TortureCase, kind: TortureFailure) -> (TortureCase, usize) {
-    let mut current = case.clone();
-    let mut steps = 0;
-    for _ in 0..40 {
-        let mut advanced = false;
-        for cand in candidates(&current) {
-            if let TortureOutcome::Fail(k, _) = run_case(&cand) {
-                if k == kind {
-                    current = cand;
-                    steps += 1;
-                    advanced = true;
-                    break;
-                }
-            }
-        }
-        if !advanced {
-            break;
-        }
-    }
-    (current, steps)
-}
-
-// ---------------------------------------------------------------------
-// JSON repro files
+// JSON repro layout
 // ---------------------------------------------------------------------
 
 /// Serialize a case into a flat JSON repro (hand-rolled, like the
@@ -716,118 +629,93 @@ pub fn case_to_json(case: &TortureCase) -> String {
     s
 }
 
-/// Parse a repro JSON back into a [`TortureCase`].
-pub fn case_from_json(text: &str) -> Result<TortureCase, String> {
-    let root = parse_json(text)?;
-    let version = root.num("version")?;
-    if version != REPRO_VERSION {
-        return Err(format!(
-            "torture repro format version {version} unsupported (expected {REPRO_VERSION})"
-        ));
-    }
-    let kind = root.str_field("kind")?;
-    if kind != "torture" {
-        return Err(format!("repro kind '{kind}' is not a torture case"));
-    }
-    let pm = |key: &str| -> Result<u16, String> {
-        let v = root.num(key)?;
-        u16::try_from(v).map_err(|_| format!("field '{key}' out of range: {v}"))
-    };
-    Ok(TortureCase {
-        seed: root.num("seed")?,
-        tenants: root.num("tenants")?.clamp(1, 64) as u32,
-        jobs_per_tenant: root.num("jobs_per_tenant")?.clamp(1, 1024) as u32,
-        short_write_pm: pm("short_write_pm")?,
-        eintr_pm: pm("eintr_pm")?,
-        fsync_eio_pm: pm("fsync_eio_pm")?,
-        enospc_pm: pm("enospc_pm")?,
-        torn_rename_pm: pm("torn_rename_pm")?,
-        bitflip_pm: pm("bitflip_pm")?,
-        disconnect_pm: pm("disconnect_pm")?,
-        trickle_pm: pm("trickle_pm")?,
-        lost_ack_pm: pm("lost_ack_pm")?,
-    })
-}
-
-/// Write a repro file crash-safely (fsync + rename).
-pub fn write_repro(path: &Path, case: &TortureCase) -> std::io::Result<()> {
-    write_atomic(path, &case_to_json(case))
-}
-
-/// Load a repro file and replay it.
-pub fn run_repro(path: &Path) -> Result<TortureOutcome, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let case = case_from_json(&text)?;
-    Ok(run_case(&case))
-}
-
 // ---------------------------------------------------------------------
-// Soak driver
+// The soak
 // ---------------------------------------------------------------------
 
-/// Outcome of a torture soak: either every case passed, or the first
-/// failure (shrunk, with its repro path).
-#[derive(Debug)]
-pub struct SoakReport {
-    /// Cases run (stops at the first failure).
-    pub cases: usize,
-    /// Aggregate tallies across passing cases.
-    pub totals: TortureStats,
-    /// First failure, minimized: category, detail, repro path.
-    pub failure: Option<(TortureFailure, String, PathBuf)>,
-}
+/// The torture soak over the serving plane (see the module docs).
+pub struct Torture;
 
-/// Run `cases` generated cases; on the first failure, shrink it and
-/// write a repro under `repro_dir`. `progress` is called after each
-/// case with (index, outcome).
-pub fn soak(
-    cases: usize,
-    seed: u64,
-    repro_dir: &Path,
-    mut progress: impl FnMut(usize, &TortureOutcome),
-) -> SoakReport {
-    let mut rng = DetRng::seed_from_u64(seed);
-    let mut totals = TortureStats::default();
-    for i in 0..cases {
-        let case = gen_case(&mut rng);
-        let outcome = run_case(&case);
-        progress(i, &outcome);
-        match outcome {
-            TortureOutcome::Pass(s) => {
-                totals.acked += s.acked;
-                totals.resolved += s.resolved;
-                totals.unaccepted += s.unaccepted;
-                totals.io_faults += s.io_faults;
-                totals.net_faults += s.net_faults;
-            }
-            TortureOutcome::Fail(kind, detail) => {
-                let (small, _steps) = shrink(&case, kind);
-                let name = format!(
-                    "torture-{kind}-{:016x}.json",
-                    fnv1a(case_to_json(&small).as_bytes())
-                );
-                let path = repro_dir.join(name);
-                let _ = std::fs::create_dir_all(repro_dir);
-                let _ = write_repro(&path, &small);
-                return SoakReport {
-                    cases: i + 1,
-                    totals,
-                    failure: Some((kind, detail, path)),
-                };
+impl Soak for Torture {
+    type Case = TortureCase;
+    type Failure = TortureFailure;
+    type Stats = TortureStats;
+    const KIND: &'static str = "torture";
+    /// Lower than the chaos cap: every probe stands up a real server.
+    const SHRINK_ROUNDS: usize = 40;
+    const PANIC: TortureFailure = TortureFailure::Panic;
+
+    fn gen(rng: &mut DetRng) -> TortureCase {
+        gen_case(rng)
+    }
+
+    /// Run one case end to end; harness panics are caught and classified.
+    fn run(case: &TortureCase) -> TortureOutcome {
+        guarded::<Torture>(|| run_case(case))
+    }
+
+    /// Fewer tenants, fewer jobs, then each nonzero fault rate zeroed.
+    fn candidates(case: &TortureCase) -> Vec<TortureCase> {
+        let mut out = Vec::new();
+        if case.tenants > 1 {
+            out.push(TortureCase {
+                tenants: case.tenants - 1,
+                ..case.clone()
+            });
+        }
+        if case.jobs_per_tenant > 1 {
+            out.push(TortureCase {
+                jobs_per_tenant: case.jobs_per_tenant / 2,
+                ..case.clone()
+            });
+        }
+        let rates: [fn(&mut TortureCase) -> &mut u16; 9] = [
+            |c| &mut c.short_write_pm,
+            |c| &mut c.eintr_pm,
+            |c| &mut c.fsync_eio_pm,
+            |c| &mut c.enospc_pm,
+            |c| &mut c.torn_rename_pm,
+            |c| &mut c.bitflip_pm,
+            |c| &mut c.disconnect_pm,
+            |c| &mut c.trickle_pm,
+            |c| &mut c.lost_ack_pm,
+        ];
+        for f in rates {
+            let mut s = case.clone();
+            if *f(&mut s) > 0 {
+                *f(&mut s) = 0;
+                out.push(s);
             }
         }
+        out
     }
-    SoakReport {
-        cases,
-        totals,
-        failure: None,
+
+    fn to_json(case: &TortureCase) -> String {
+        case_to_json(case)
+    }
+
+    fn from_json(root: &Json) -> Result<TortureCase, String> {
+        Ok(TortureCase {
+            seed: root.num("seed")?,
+            tenants: root.num("tenants")?.clamp(1, 64) as u32,
+            jobs_per_tenant: root.num("jobs_per_tenant")?.clamp(1, 1024) as u32,
+            short_write_pm: root.int("short_write_pm")?,
+            eintr_pm: root.int("eintr_pm")?,
+            fsync_eio_pm: root.int("fsync_eio_pm")?,
+            enospc_pm: root.int("enospc_pm")?,
+            torn_rename_pm: root.int("torn_rename_pm")?,
+            bitflip_pm: root.int("bitflip_pm")?,
+            disconnect_pm: root.int("disconnect_pm")?,
+            trickle_pm: root.int("trickle_pm")?,
+            lost_ack_pm: root.int("lost_ack_pm")?,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soak::parse_repro;
 
     #[test]
     fn generation_is_deterministic_and_round_trips() {
@@ -841,28 +729,28 @@ mod tests {
         };
         assert_eq!(a, b);
         for case in &a {
-            let back = case_from_json(&case_to_json(case)).expect("parse back");
+            let back = parse_repro::<Torture>(&case_to_json(case)).expect("parse back");
             assert_eq!(*case, back, "JSON round-trip changed the case");
         }
     }
 
     #[test]
     fn parser_rejects_garbage_and_chaos_repros() {
-        assert!(case_from_json("").is_err());
-        assert!(case_from_json("{}").is_err());
-        assert!(case_from_json("{\"version\": 1, \"kind\": \"chaos\"}").is_err());
+        assert!(parse_repro::<Torture>("").is_err());
+        assert!(parse_repro::<Torture>("{}").is_err());
+        assert!(parse_repro::<Torture>("{\"version\": 1, \"kind\": \"chaos\"}").is_err());
         // A chaos repro (no "kind" field) must not parse as torture.
         let chaos = crate::chaos::case_to_json(&crate::chaos::gen_case(
             &mut DetRng::seed_from_u64(3),
         ));
-        assert!(case_from_json(&chaos).is_err());
+        assert!(parse_repro::<Torture>(&chaos).is_err());
     }
 
     #[test]
     fn candidates_strictly_simplify() {
         let mut rng = DetRng::seed_from_u64(5);
         let case = gen_case(&mut rng);
-        for cand in candidates(&case) {
+        for cand in Torture::candidates(&case) {
             assert_ne!(cand, case);
             assert!(cand.total_jobs() <= case.total_jobs());
         }
@@ -881,7 +769,7 @@ mod tests {
             trickle_pm: 0,
             lost_ack_pm: 0,
         };
-        assert!(candidates(&minimal).is_empty());
+        assert!(Torture::candidates(&minimal).is_empty());
     }
 
     /// A fault-free burst passes with every job acked and resolved —
@@ -902,13 +790,13 @@ mod tests {
             trickle_pm: 0,
             lost_ack_pm: 0,
         };
-        match run_case(&case) {
-            TortureOutcome::Pass(s) => {
+        match Torture::run(&case) {
+            Outcome::Pass(s) => {
                 assert_eq!(s.acked, 4, "{s:?}");
                 assert_eq!(s.resolved, 4, "{s:?}");
                 assert_eq!(s.unaccepted, 0, "{s:?}");
             }
-            TortureOutcome::Fail(kind, detail) => panic!("clean case failed {kind}: {detail}"),
+            Outcome::Fail(kind, detail) => panic!("clean case failed {kind}: {detail}"),
         }
     }
 
@@ -931,12 +819,12 @@ mod tests {
             trickle_pm: 200,
             lost_ack_pm: 350,
         };
-        match run_case(&case) {
-            TortureOutcome::Pass(s) => {
+        match Torture::run(&case) {
+            Outcome::Pass(s) => {
                 assert!(s.acked > 0, "nothing got through: {s:?}");
                 assert_eq!(s.acked, s.resolved, "{s:?}");
             }
-            TortureOutcome::Fail(kind, detail) => panic!("net torture failed {kind}: {detail}"),
+            Outcome::Fail(kind, detail) => panic!("net torture failed {kind}: {detail}"),
         }
     }
 
@@ -958,7 +846,7 @@ mod tests {
             trickle_pm: 120,
             lost_ack_pm: 150,
         };
-        let outcome = run_case(&case);
+        let outcome = Torture::run(&case);
         assert!(outcome.passed(), "{outcome:?}");
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! * the scenario-cache entries ([`crate::scenario`]) — percent
 //!   escaping + the tag-checked line [`Cursor`],
-//! * the chaos repro files ([`crate::chaos`]) — the minimal [`Json`]
+//! * the soak repro files ([`crate::soak`]) — the minimal [`Json`]
 //!   value and [`parse_json`] parser plus [`esc_json`],
 //! * the perf baseline (`perf_baseline` binary) — the flat
 //!   [`json_f64`] field extractor,
@@ -145,6 +145,13 @@ impl Json {
             Some(Json::Num(n)) => Ok(*n),
             _ => Err(format!("missing or non-numeric field '{key}'")),
         }
+    }
+
+    /// Required numeric field that must fit `T`: an out-of-range value
+    /// is an error, never a silent truncation.
+    pub fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let v = self.num(key)?;
+        T::try_from(v).map_err(|_| format!("field '{key}' out of range: {v}"))
     }
 
     /// Required boolean field.

@@ -9,8 +9,9 @@
 //! would persist — with the one documented-nondeterministic line (the
 //! `perf ` wall-clock line) stripped.
 
-use hq_bench::chaos;
+use hq_bench::chaos::{self, Chaos};
 use hq_bench::scenario::{self, run_scenario, run_scenario_batch_jobs};
+use hq_bench::soak::Soak;
 use hq_des::rng::DetRng;
 use hq_des::time::Dur;
 use hq_gpu::prelude::*;
@@ -213,9 +214,9 @@ fn chaos_batch_matches_serial_cases() {
 
     let serial: Vec<String> = specs
         .iter()
-        .map(|s| format!("{:?}", chaos::run_case(s)))
+        .map(|s| format!("{:?}", Chaos::run(s)))
         .collect();
-    let batched: Vec<String> = chaos::run_case_batch(&specs)
+    let batched: Vec<String> = Chaos::run_batch(&specs)
         .into_iter()
         .map(|o| format!("{o:?}"))
         .collect();
@@ -225,7 +226,7 @@ fn chaos_batch_matches_serial_cases() {
     assert_eq!(h0, 0);
 
     // Memoized: the same batch again is pure hits.
-    let again: Vec<String> = chaos::run_case_batch(&specs)
+    let again: Vec<String> = Chaos::run_batch(&specs)
         .into_iter()
         .map(|o| format!("{o:?}"))
         .collect();

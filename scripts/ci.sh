@@ -25,9 +25,10 @@
 #   4. a fixed-seed chaos soak: 200 random audited cases (random device
 #      geometry x workload mix x fault plan) must all run with zero
 #      invariant-auditor and validate() violations; a failure shrinks
-#      to a JSON repro under results/ replayable with `hyperq repro`.
-#      The soak runs twice — serial and `--batch 16` through the
-#      K-lane merged-queue executor — and both must be clean,
+#      to a JSON repro under results/repro/ replayable with
+#      `hyperq repro`. The soak (`hyperq chaos`) runs twice — serial and
+#      `--batch 16` through the K-lane merged-queue executor — and both
+#      must be clean,
 #   5. a service crash-recovery smoke: start `hyperq serve`, prove that
 #      panicking and deadline-exceeded jobs come back as structured
 #      errors while the server keeps serving, then `kill -9` it
@@ -176,13 +177,12 @@ done
 echo "warm-cache rerun reproduced every artifact byte-for-byte"
 
 echo "==> chaos soak (200 cases, seed 7, serial then batch 16)"
-fresh_bin hq-bench chaos
-target/release/chaos --cases 200 --seed 7
-target/release/chaos --cases 200 --seed 7 --batch 16
-
-echo "==> service crash-recovery smoke"
 fresh_bin hyperq-repro hyperq
 HQ=target/release/hyperq
+"$HQ" chaos --cases 200 --seed 7
+"$HQ" chaos --cases 200 --seed 7 --batch 16
+
+echo "==> service crash-recovery smoke"
 SVC_DIR="$(mktemp -d)"
 SOCK="$SVC_DIR/hq.sock"
 HQ_RESULTS="$SVC_DIR" "$HQ" serve --socket "$SOCK" --workers 1 --queue-depth 16 \

@@ -43,6 +43,7 @@ USAGE:
   hyperq journal   inspect FILE
   hyperq scrub     [--repair] [--journal PATH] [--artifact-dir DIR]
                    [--cache-dir DIR]
+  hyperq chaos     [--cases N] [--seed N] [--batch K] [--repro-dir DIR]
   hyperq torture   [--cases N] [--seed N] [--repro-dir DIR]
   hyperq table3
   hyperq devices
@@ -80,7 +81,7 @@ pub enum Command {
     Autosched,
     /// Fault-injection demo: same workload under each recovery policy.
     Faults,
-    /// Replay a chaos-soak repro file under the invariant auditor.
+    /// Replay a chaos or torture repro file.
     Repro,
     /// Long-running scenario server over a Unix-domain socket.
     Serve,
@@ -91,6 +92,9 @@ pub enum Command {
     /// Verify (and with `--repair`, heal) the journal, scenario cache
     /// and artifact store.
     Scrub,
+    /// Simulator chaos soak: randomized audited simulation cases, with
+    /// shrinking JSON repros.
+    Chaos,
     /// Service torture soak: bursts under joint I/O + network fault
     /// plans, with shrinking JSON repros.
     Torture,
@@ -210,10 +214,11 @@ pub struct Cli {
     pub repair: bool,
     /// Scenario-cache directory override (`scrub --cache-dir`).
     pub cache_dir: Option<String>,
-    /// Torture cases to run (`torture --cases`).
+    /// Soak cases to run (`chaos`/`torture --cases`).
     pub cases: usize,
-    /// Directory shrunk torture repros are written to
-    /// (`torture --repro-dir`).
+    /// Soak cases run per batch (`chaos --batch`, 1 = one at a time).
+    pub batch: usize,
+    /// Directory shrunk soak repros are written to (`--repro-dir`).
     pub repro_dir: Option<String>,
 }
 
@@ -283,6 +288,7 @@ impl Default for Cli {
             repair: false,
             cache_dir: None,
             cases: 25,
+            batch: 1,
             repro_dir: None,
         }
     }
@@ -365,6 +371,7 @@ pub fn parse_args(args: Vec<String>) -> Result<Cli, String> {
             None => return Err("journal requires an action: journal inspect FILE".into()),
         },
         "scrub" => Command::Scrub,
+        "chaos" => Command::Chaos,
         "torture" => Command::Torture,
         "table3" => Command::Table3,
         "devices" => Command::Devices,
@@ -591,6 +598,14 @@ pub fn parse_args(args: Vec<String>) -> Result<Cli, String> {
                     .map_err(|_| "--cases needs an integer".to_string())?;
                 if cli.cases == 0 || cli.cases > 10_000 {
                     return Err("--cases must be in 1..=10000".into());
+                }
+            }
+            "--batch" => {
+                cli.batch = value(&mut it, "--batch")?
+                    .parse()
+                    .map_err(|_| "--batch needs an integer".to_string())?;
+                if cli.batch == 0 || cli.batch > 10_000 {
+                    return Err("--batch must be in 1..=10000".into());
                 }
             }
             "--repro-dir" => cli.repro_dir = Some(value(&mut it, "--repro-dir")?),
@@ -939,6 +954,16 @@ mod tests {
         assert_eq!(cli.repro_dir.as_deref(), Some("/tmp/repros"));
         assert!(parse_args(argv("torture --cases 0")).is_err());
         assert!(parse_args(argv("torture --cases 20000")).is_err());
+    }
+
+    #[test]
+    fn chaos_parses_cases_seed_and_batch() {
+        let cli = parse_args(argv("chaos --cases 200 --seed 7 --batch 16")).unwrap();
+        assert_eq!(cli.command, Command::Chaos);
+        assert_eq!((cli.cases, cli.seed, cli.batch), (200, 7, 16));
+        assert_eq!(parse_args(argv("chaos")).unwrap().batch, 1);
+        assert!(parse_args(argv("chaos --batch 0")).is_err());
+        assert!(parse_args(argv("chaos --batch many")).is_err());
     }
 
     #[test]

@@ -2,7 +2,10 @@
 
 use crate::cli::args::{Cli, Command, DevicePreset, RecoveryChoice, USAGE};
 use crate::cli::workload_spec::format_workload;
+use hq_bench::chaos::Chaos;
 use hq_bench::service::{JobSpec, ServeOptions};
+use hq_bench::soak::{self, Soak};
+use hq_bench::torture::Torture;
 use hq_des::time::Dur;
 use hq_gpu::prelude::*;
 use hq_gpu::types::Dir;
@@ -291,34 +294,14 @@ fn cmd_devices() -> String {
     t.to_text()
 }
 
-/// Replay a chaos-soak repro file (written by the `chaos` soak driver
-/// on failure) with the invariant auditor enabled. Succeeds with a
-/// status line either way — a repro that still fails is the expected,
-/// useful outcome — and only errors when the file itself is unusable.
+/// Replay a chaos or torture repro file (written by a failing soak).
+/// Succeeds with a status line either way — a repro that still fails
+/// is the expected, useful outcome — and only errors when the file
+/// itself is unusable.
 fn cmd_repro(cli: &Cli) -> Result<String, String> {
     let path = cli.repro_file.as_deref().expect("checked by parse_args");
-    // Torture repros are self-identifying (`"kind": "torture"`); route
-    // them to the torture replayer, everything else to the chaos one.
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if let Ok(case) = hq_bench::torture::case_from_json(&text) {
-        return match hq_bench::torture::run_case(&case) {
-            hq_bench::torture::TortureOutcome::Pass(stats) => Ok(format!(
-                "repro {path}: PASS — invariants held ({} acked, {} resolved, {} disk faults, {} net faults)",
-                stats.acked, stats.resolved, stats.io_faults, stats.net_faults
-            )),
-            hq_bench::torture::TortureOutcome::Fail(kind, detail) => {
-                Ok(format!("repro {path}: FAIL ({kind})\n{detail}"))
-            }
-        };
-    }
-    match hq_bench::chaos::run_repro(std::path::Path::new(path))? {
-        hq_bench::chaos::CaseOutcome::Pass { .. } => Ok(format!(
-            "repro {path}: PASS — the case runs clean (bug no longer reproduces)"
-        )),
-        hq_bench::chaos::CaseOutcome::Fail(kind, detail) => Ok(format!(
-            "repro {path}: FAIL ({kind:?})\n{detail}"
-        )),
-    }
+    let verdict = soak::replay(std::path::Path::new(path))?;
+    Ok(format!("repro {path}: {verdict}"))
 }
 
 fn device_name(preset: DevicePreset) -> &'static str {
@@ -583,28 +566,51 @@ fn cmd_scrub(cli: &Cli) -> Result<String, String> {
     }
 }
 
-/// `hyperq torture`: run a soak of generated service-burst cases under
-/// joint I/O + network fault plans. The first invariant violation is
-/// shrunk to a minimal case, written as a JSON repro (replayable with
-/// `hyperq repro FILE`), and reported as an error.
-fn cmd_torture(cli: &Cli) -> Result<String, String> {
+/// `hyperq chaos` / `hyperq torture`: run a soak of generated cases.
+/// The first failing case is shrunk to a minimal case, written as a
+/// JSON repro (replayable with `hyperq repro FILE`), and reported as an
+/// error. Progress goes to stderr every 50 cases.
+fn cmd_soak<S: Soak>(cli: &Cli) -> Result<String, String> {
     let repro_dir = cli
         .repro_dir
         .as_ref()
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| hq_bench::util::out_dir().join("repro"));
-    let report = hq_bench::torture::soak(cli.cases, cli.seed, &repro_dir, |_, _| {});
-    let t = &report.totals;
+    let t0 = std::time::Instant::now();
+    let report = soak::soak::<S>(cli.cases, cli.seed, cli.batch, &repro_dir, |i, _| {
+        if (i + 1).is_multiple_of(50) {
+            eprintln!(
+                "  {}: {}/{} cases run ({:.2?})",
+                S::KIND,
+                i + 1,
+                cli.cases,
+                t0.elapsed()
+            );
+        }
+    })
+    .map_err(|e| {
+        format!(
+            "{}: cannot write repro under {}: {e}",
+            S::KIND,
+            repro_dir.display()
+        )
+    })?;
     match report.failure {
         None => Ok(format!(
-            "torture: {} case(s) passed — {} acked, {} resolved, {} unaccepted, {} disk fault(s), {} net fault(s) injected",
-            report.cases, t.acked, t.resolved, t.unaccepted, t.io_faults, t.net_faults
-        )),
-        Some((kind, detail, path)) => Err(format!(
-            "torture: case {} of {} FAILED ({kind})\n{detail}\nshrunk repro: {}",
+            "{}: {} case(s) passed — {}",
+            S::KIND,
             report.cases,
+            report.totals
+        )),
+        Some(f) => Err(format!(
+            "{}: case {} of {} FAILED ({})\n{}\nshrunk in {} step(s); replay with: hyperq repro {}",
+            S::KIND,
+            f.case + 1,
             cli.cases,
-            path.display()
+            f.kind,
+            f.detail,
+            f.steps,
+            f.repro.display()
         )),
     }
 }
@@ -622,7 +628,8 @@ pub fn execute(cli: Cli) -> Result<String, String> {
         Command::Submit => cmd_submit(&cli),
         Command::JournalInspect => cmd_journal_inspect(&cli),
         Command::Scrub => cmd_scrub(&cli),
-        Command::Torture => cmd_torture(&cli),
+        Command::Chaos => cmd_soak::<Chaos>(&cli),
+        Command::Torture => cmd_soak::<Torture>(&cli),
         Command::Table3 => {
             geometry::validate_against_builders();
             Ok(geometry::render_markdown())
@@ -720,6 +727,38 @@ mod tests {
         std::fs::write(&path, "{ not json").unwrap();
         assert!(run(&format!("repro {}", path.display())).is_err());
         assert!(run(&format!("repro {}", dir.join("missing.json").display())).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `repro` dispatches on the repro's `"kind"`: a torture repro with a
+    /// bad field is reported by its torture field, never by falling
+    /// through to the chaos layout (`'apps'`).
+    #[test]
+    fn repro_of_a_bad_torture_case_names_the_torture_field() {
+        use hq_bench::torture;
+        use hq_des::rng::DetRng;
+
+        let dir = std::env::temp_dir().join(format!("hq_repro_kind_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let json = torture::case_to_json(&torture::gen_case(&mut DetRng::seed_from_u64(5)));
+        let bad: String = json
+            .lines()
+            .map(|l| {
+                if l.starts_with("  \"tenants\":") {
+                    "  \"tenants\": \"many\",\n".to_string()
+                } else {
+                    format!("{l}\n")
+                }
+            })
+            .collect();
+        assert_ne!(bad, json);
+        let path = dir.join("torture.json");
+        std::fs::write(&path, bad).unwrap();
+        let err = run(&format!("repro {}", path.display())).unwrap_err();
+        assert!(
+            err.contains("'tenants'") && !err.contains("'apps'"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
