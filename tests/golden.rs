@@ -1,0 +1,157 @@
+//! Golden trajectory pins: an oracle that does not share code with
+//! what it checks.
+//!
+//! Every other determinism test compares two paths of the *same* build
+//! (serial vs batch, cached vs uncached, audited vs not), so a change
+//! that shifts every path by the same simulated nanosecond passes them
+//! all. These tests pin, as constants, what a fixed set of scenarios
+//! produces: the FNV-1a digest of the outcome's cache-entry bytes (the
+//! wall-clock `perf ` line and the `crc ` header that covers it are
+//! excluded), the event count and the makespan.
+//!
+//! A performance change to the simulator must leave every row
+//! untouched. A deliberate model change updates the table: a failing
+//! run prints the rows it computed in the table's own syntax.
+
+use hq_bench::scenario::encode_outcome;
+use hyperq_repro::des::time::Dur;
+use hyperq_repro::gpu::config::DeviceConfig;
+use hyperq_repro::gpu::fault::{FaultKind, FaultPlan};
+use hyperq_repro::gpu::types::AppId;
+use hyperq_repro::hyperq::harness::{
+    build_schedule, run_schedule, MemsyncMode, RecoveryPolicy, RunConfig,
+};
+use hyperq_repro::workloads::apps::AppKind;
+
+/// The `serve_cold` benchmark's job shape: the paper's four-app Rodinia
+/// mix on 8 streams.
+const COLD_MIX: [AppKind; 4] = [
+    AppKind::Gaussian,
+    AppKind::Knearest,
+    AppKind::Needle,
+    AppKind::Srad,
+];
+
+/// One pinned scenario: name, artifact digest, events, makespan (ns).
+type Pin = (&'static str, u64, u64, u64);
+
+const PINS: &[Pin] = &[
+    ("cold-seed-1", 0x6c879862b37bf44d, 72559, 79852119),
+    ("cold-seed-7", 0x9307272b5be0c4ac, 72559, 79852013),
+    ("cold-seed-42", 0x7cb94200daf1590d, 72559, 79852617),
+    ("cold-seed-1234", 0x1d81d4516f1867e4, 72559, 79851684),
+    ("cold-seed-12648430", 0xf81e34a6d4fe4cc6, 72559, 79852452),
+    ("cold-seed-9876543210", 0x310c58d79fc0ae26, 72559, 79852274),
+    ("serial", 0x290011618dc5280b, 70947, 85476980),
+    ("memsync-traced", 0xd1f4f58803d0812e, 72653, 79623973),
+    ("k40", 0xe0c82762e1bcc1dd, 72885, 72215166),
+    ("fermi", 0x47fe763491194c42, 70947, 81207668),
+    ("hang-abort-retry", 0xd57d629e72de8714, 27651, 216214989),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The pinned scenarios, in table order.
+fn scenarios() -> Vec<(String, RunConfig, Vec<AppKind>)> {
+    let mut out = Vec::new();
+    for seed in [1u64, 7, 42, 1234, 0xC0FFEE, 9_876_543_210] {
+        out.push((
+            format!("cold-seed-{seed}"),
+            RunConfig::concurrent(8).with_seed(seed),
+            COLD_MIX.to_vec(),
+        ));
+    }
+    out.push((
+        "serial".to_string(),
+        RunConfig::serial().with_seed(7),
+        COLD_MIX.to_vec(),
+    ));
+    out.push((
+        "memsync-traced".to_string(),
+        RunConfig::concurrent(8)
+            .with_memsync(MemsyncMode::Synced)
+            .with_trace(true)
+            .with_seed(7),
+        COLD_MIX.to_vec(),
+    ));
+    let mut k40 = RunConfig::concurrent(8).with_seed(7);
+    k40.device = DeviceConfig::tesla_k40();
+    out.push(("k40".to_string(), k40, COLD_MIX.to_vec()));
+    let mut fermi = RunConfig::concurrent(8).with_seed(7);
+    fermi.device = DeviceConfig::fermi_like();
+    out.push(("fermi".to_string(), fermi, COLD_MIX.to_vec()));
+    // Hangs (killed by the watchdog the harness arms for any fault
+    // plan) and aborts, recovered by retrying the failed apps alone.
+    let plan = FaultPlan::none()
+        .with_fault(FaultKind::KernelHang, AppId(0), 400)
+        .with_fault(FaultKind::KernelFault, AppId(2), 1)
+        .with_fault(FaultKind::KernelHang, AppId(3), 2)
+        .with_seed(0x601d);
+    out.push((
+        "hang-abort-retry".to_string(),
+        RunConfig::concurrent(8)
+            .with_seed(11)
+            .with_faults(plan)
+            .with_recovery(RecoveryPolicy::Retry {
+                max_attempts: 2,
+                backoff: Dur::from_us(200),
+            }),
+        COLD_MIX.to_vec(),
+    ));
+    out
+}
+
+fn compute() -> Vec<(String, u64, u64, u64)> {
+    scenarios()
+        .into_iter()
+        .map(|(name, cfg, kinds)| {
+            let specs = build_schedule(&kinds, cfg.order, cfg.seed);
+            let out = run_schedule(&cfg, &specs)
+                .unwrap_or_else(|e| panic!("scenario {name} failed: {e}"));
+            let artifact: String = encode_outcome(&cfg, &specs, &out)
+                .lines()
+                .filter(|l| !l.starts_with("perf ") && !l.starts_with("crc "))
+                .flat_map(|l| [l, "\n"])
+                .collect();
+            (
+                name,
+                fnv1a(artifact.as_bytes()),
+                out.result.events,
+                out.result.makespan.as_ns(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn simulated_trajectories_match_their_pins() {
+    let got = compute();
+    let table: String = got
+        .iter()
+        .map(|(n, d, e, m)| format!("    (\"{n}\", 0x{d:016x}, {e}, {m}),\n"))
+        .collect();
+    let same = got.len() == PINS.len()
+        && got
+            .iter()
+            .zip(PINS)
+            .all(|((n, d, e, m), p)| (n.as_str(), *d, *e, *m) == *p);
+    assert!(
+        same,
+        "trajectories drifted from the pins; computed:\n{table}"
+    );
+}
+
+#[test]
+fn the_fault_scenario_exercises_hangs_aborts_and_retries() {
+    let (name, cfg, kinds) = scenarios().pop().expect("fault scenario");
+    let specs = build_schedule(&kinds, cfg.order, cfg.seed);
+    let out = run_schedule(&cfg, &specs).expect("fault scenario runs");
+    let f = out.result.faults;
+    assert!(f.watchdog_kills > 0, "{name}: no hang was killed: {f:?}");
+    assert!(f.kernel_faults > 0, "{name}: no kernel aborted: {f:?}");
+    assert!(out.retries > 0, "{name}: nothing was retried");
+}
