@@ -6,7 +6,7 @@
 //! (hundreds of distinct kernel/buffer names with tracing on), the
 //! full experiment suite twice — cold and then warm through the
 //! scenario cache — a chaos-case batch bench (serial uncached vs.
-//! K-lane batched, cold and memo-warm), and a serving-hot-path bench
+//! memo-first batched, cold and memo-warm), and a serving-hot-path bench
 //! (this binary re-executed as a server subprocess on a unix socket,
 //! 8 concurrent clients, warm scenario cache, batched dispatch +
 //! group-commit journaling), then reports events/sec and wall-clock
@@ -557,17 +557,17 @@ fn bench_suite() -> SuiteBench {
     }
 }
 
-/// Chaos-case throughput: the serial soak vs. the K-lane batch
-/// executor, over one fixed deterministic case set, measured three
+/// Chaos-case throughput: the serial soak vs. the memo-first batch
+/// entry point, over one fixed deterministic case set, measured three
 /// ways:
 ///
 /// * `serial` — `Chaos::run` per spec, which always simulates (it is
 ///   the shrinker path and deliberately bypasses the per-case memo):
 ///   the pre-batch cost per soak case;
 /// * `batch cold` — one `Chaos::run_batch` over the whole set against an
-///   empty memo, so every lane simulates inside the merged event loop.
-///   This is the honest event-loop figure, reported as
-///   `batch_events_per_s`;
+///   empty memo, so every case misses and runs as a solo simulation,
+///   plus the memo lookup and insert. This is the honest event-loop
+///   figure, reported as `batch_events_per_s`;
 /// * `batch warm` — the same batch again, served entirely from the
 ///   per-case memo: the steady-state cost of a soak or sweep that
 ///   revisits configurations (the autoscheduler's dominant regime).

@@ -30,10 +30,10 @@
 //!   accepting, drains in-flight jobs, seals the journal and removes
 //!   the socket.
 //! * **Batch concurrency** — workers drain up to `--dispatch-batch`
-//!   queued jobs per wakeup (in DRR order) and run them as one K-lane
-//!   batch through the scenario engine, and `--commit-window-us` group
-//!   commit coalesces concurrent accept fsyncs into one `sync_data`
-//!   (DESIGN §5j).
+//!   queued jobs per wakeup (in DRR order) and run them one after
+//!   another, each under its own panic guard, and `--commit-window-us`
+//!   group commit coalesces concurrent accept fsyncs into one
+//!   `sync_data` (DESIGN §5j).
 //!
 //! Workers are plain [`std::thread`]s over the scenario cache; the
 //! whole service uses only `std` primitives (`Mutex` + `Condvar` —
@@ -55,14 +55,11 @@ pub use protocol::{
 pub use ring::Ring;
 pub use tenancy::{ServiceEstimator, TenantPolicy, TenantQueues};
 
-use crate::scenario::{
-    run_scenario_workload, run_scenario_workload_batch, scenario_is_warm, SIM_VERSION,
-};
+use crate::scenario::{run_scenario_workload, scenario_is_warm, SIM_VERSION};
 use crate::util::codec::{esc, fnv1a};
 use crate::util::write_atomic;
 use hq_gpu::config::DeviceConfig;
 use hq_gpu::result::AppOutcome;
-use hq_workloads::apps::AppKind;
 use hyperq_core::harness::{RunConfig, RunOutcome};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -108,8 +105,8 @@ pub struct ServeOptions {
     /// past which brownout sheds cold work, serving warm scenario-cache
     /// hits only. 0 disables brownout.
     pub brownout_threshold: f64,
-    /// Max queued jobs a worker drains per wakeup and runs as one
-    /// K-lane scenario batch. 1 reproduces solo dispatch exactly.
+    /// Max queued jobs a worker drains per wakeup; they then run one
+    /// after another. 1 reproduces solo dispatch exactly.
     pub dispatch_batch: usize,
     /// Group-commit window in microseconds: while accept records
     /// arrive closer together than this (an EWMA of their gaps), a
@@ -1130,85 +1127,37 @@ impl Server {
         }
     }
 
-    /// Execute a dispatched batch outside any lock, returning per-lane
-    /// `(job, outcome, exec_ms)` in dispatch order. Jobs that cannot
-    /// share the K-lane engine — scripted panics, already-expired
-    /// deadlines — run outside it; everything else becomes one
-    /// `run_scenario_workload_batch` lane set whose per-lane results
-    /// settle exactly like solo runs (artifacts are byte-identical by
-    /// construction). A panic anywhere in a shared batch poisons lane
-    /// attribution, so the whole batch falls back to per-job serial
-    /// execution under individual catch_unwind — the same divergence
-    /// rule `chaos --batch` uses.
+    /// Execute a drained batch outside any lock, returning per-job
+    /// `(job, outcome, exec_ms, digest)` in dispatch order. Each job
+    /// runs alone through [`execute_spec`], so it gets its own panic
+    /// isolation and its own `exec_ms` for the deadline estimator.
     fn execute_batch(
         &self,
         batch: Vec<QueuedJob>,
     ) -> Vec<(QueuedJob, JobDone, Option<f64>, Option<u64>)> {
-        let expired = |d: Option<Instant>| d.is_some_and(|d| Instant::now() >= d);
-        let deadline_of = |job: &QueuedJob| {
-            job.spec
-                .deadline_ms
-                .map(|ms| job.accepted_at + Duration::from_millis(ms))
-        };
-        let lanes: Vec<usize> = batch
-            .iter()
-            .enumerate()
-            .filter(|(_, job)| !job.spec.scripted_panic && !expired(deadline_of(job)))
-            .map(|(i, _)| i)
-            .collect();
-        let mut execs: Vec<Option<(Exec, f64)>> = (0..batch.len()).map(|_| None).collect();
-        if lanes.len() >= 2 {
-            let jobs: Vec<(RunConfig, Vec<AppKind>)> = lanes
-                .iter()
-                .map(|&i| (config_for(&batch[i].spec), batch[i].spec.workload.clone()))
-                .collect();
-            let started = Instant::now();
-            let res = catch_unwind(AssertUnwindSafe(|| run_scenario_workload_batch(&jobs)));
-            // Wall time is shared; attribute an even share per lane so
-            // the estimator sees per-job cost, not per-batch cost.
-            let share_ms = started.elapsed().as_secs_f64() * 1000.0 / lanes.len() as f64;
-            if let Ok(results) = res {
-                for (&i, result) in lanes.iter().zip(results) {
-                    let exec = match result {
-                        Ok(out) => Exec::Ok(render_artifact(&batch[i].spec, &out)),
-                        Err(e) => Exec::SimError(e.to_string()),
-                    };
-                    execs[i] = Some((exec, share_ms));
-                }
-            }
-            // On a batch panic every lane stays None and re-runs solo
-            // below.
-        }
         batch
             .into_iter()
-            .enumerate()
-            .map(|(i, job)| {
-                let deadline = deadline_of(&job);
-                let (exec, exec_ms) = match execs[i].take() {
-                    Some((exec, ms)) => (Some(exec), Some(ms)),
-                    // Solo path: scripted panics, single-job batches,
-                    // and the serial fallback after a batch panic.
-                    None if !expired(deadline) => {
-                        let started = Instant::now();
-                        let exec = execute_spec(&job.spec);
-                        (
-                            Some(exec),
-                            Some(started.elapsed().as_secs_f64() * 1000.0),
-                        )
-                    }
+            .map(|job| {
+                let deadline = job
+                    .spec
+                    .deadline_ms
+                    .map(|ms| job.accepted_at + Duration::from_millis(ms));
+                let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+                if expired() {
                     // Cancelled before it ever ran.
-                    None => (None, None),
+                    return (job, JobDone::DeadlineExceeded, None, None);
+                }
+                let started = Instant::now();
+                let exec = execute_spec(&job.spec);
+                let exec_ms = started.elapsed().as_secs_f64() * 1000.0;
+                let (done, digest) = if expired() {
+                    // Finished too late: the result is discarded, no
+                    // artifact is written.
+                    (JobDone::DeadlineExceeded, None)
+                } else {
+                    finish(&self.opts, job.id, exec)
                 };
-                let (done, digest) = match exec {
-                    None => (JobDone::DeadlineExceeded, None),
-                    Some(_) if expired(deadline) => {
-                        // Finished too late: the result is discarded,
-                        // no artifact is written.
-                        (JobDone::DeadlineExceeded, None)
-                    }
-                    Some(exec) => finish(&self.opts, job.id, exec),
-                };
-                (job, done, exec_ms, digest)
+                (job, done, Some(exec_ms), digest)
             })
             .collect()
     }

@@ -25,10 +25,10 @@ use serde::{Deserialize, Serialize};
 pub type Runner = fn(&RunConfig, &[AppSpec]) -> Result<RunOutcome, SimError>;
 
 /// Batched counterpart of [`Runner`]: evaluate many candidate
-/// schedules under one config in a single call (lanes of one merged
-/// event loop, or one cache sweep — the scheduler does not care). Must
-/// return one result per input lane, in order, each identical to what
-/// the serial runner would have produced.
+/// schedules under one config in a single call (back-to-back runs, or
+/// one cache sweep — the scheduler does not care). Must return one
+/// result per input schedule, in order, each identical to what the
+/// serial runner would have produced.
 pub type BatchRunner = fn(&RunConfig, &[Vec<AppSpec>]) -> Vec<Result<RunOutcome, SimError>>;
 
 /// How many speculative hill-climb candidates [`AutoScheduler::optimize_batched`]
@@ -156,9 +156,10 @@ impl AutoScheduler {
     }
 
     /// Like [`AutoScheduler::optimize_with`], but candidate evaluations
-    /// go through a [`BatchRunner`] so independent candidates share one
-    /// merged event loop. Returns a `SearchResult` identical to the
-    /// serial search:
+    /// go through a [`BatchRunner`] so independent candidates are handed
+    /// over together (a caching runner serves the warm ones from its
+    /// memo before simulating the rest). Returns a `SearchResult`
+    /// identical to the serial search:
     ///
     /// - The five canonical seed orders are mutually independent — one
     ///   batch.

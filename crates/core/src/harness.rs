@@ -231,38 +231,17 @@ pub fn run_schedule(cfg: &RunConfig, specs: &[AppSpec]) -> Result<RunOutcome, Si
     Ok(out)
 }
 
-/// One simulation pass, no recovery. With a non-empty `plan` and no
-/// explicit watchdog timeout, [`DEFAULT_WATCHDOG`] is armed so injected
-/// hangs cannot wedge the run.
+/// One simulation pass, no recovery: assemble the simulator (streams,
+/// memsync mutexes, compiled applications, fault plan, optional
+/// auditor), run it and measure its power. With a non-empty `plan` and
+/// no explicit watchdog timeout, [`DEFAULT_WATCHDOG`] is armed so
+/// injected hangs cannot wedge the run.
 fn run_schedule_once(
     cfg: &RunConfig,
     specs: &[AppSpec],
     plan: &FaultPlan,
     seed: u64,
 ) -> Result<RunOutcome, SimError> {
-    let (sim, labels) = build_run(cfg, specs, plan, seed);
-    let result = sim.run()?;
-    let power = PowerMonitor::with_period(cfg.power, cfg.sample_period).measure(&result);
-    Ok(RunOutcome {
-        schedule: labels,
-        result,
-        power,
-        retries: 0,
-        degraded: false,
-    })
-}
-
-/// Assemble (but do not run) the simulator for one schedule: streams,
-/// memsync mutexes, compiled applications, fault plan, optional
-/// auditor. Shared verbatim by the serial path and
-/// [`run_schedule_batch`], which is what keeps batched lanes
-/// byte-identical to serial runs.
-fn build_run(
-    cfg: &RunConfig,
-    specs: &[AppSpec],
-    plan: &FaultPlan,
-    seed: u64,
-) -> (GpuSim, Vec<String>) {
     let num_streams = if cfg.serialize { 1 } else { cfg.num_streams };
     let mut host = cfg.host;
     if !plan.is_empty() && host.watchdog_timeout.is_none() {
@@ -283,11 +262,11 @@ fn build_run(
         MemsyncMode::Enqueue => Memsync::Enqueue(sim.create_mutex()),
         MemsyncMode::Synced => Memsync::Synced(sim.create_mutex()),
     };
-    let mut labels = Vec::with_capacity(specs.len());
+    let mut schedule = Vec::with_capacity(specs.len());
     let mut prev: Option<AppId> = None;
     for &(kind, instance) in specs.iter() {
         let app = RodiniaApp::new(kind, instance);
-        labels.push(Kernel::label(&app));
+        schedule.push(Kernel::label(&app));
         let program = build_program(&app, memsync);
         let id = sim.add_app(program, streams.acquire());
         if cfg.serialize {
@@ -297,49 +276,24 @@ fn build_run(
             prev = Some(id);
         }
     }
-    (sim, labels)
+    let result = sim.run()?;
+    let power = PowerMonitor::with_period(cfg.power, cfg.sample_period).measure(&result);
+    Ok(RunOutcome {
+        schedule,
+        result,
+        power,
+        retries: 0,
+        degraded: false,
+    })
 }
 
-/// Run many schedules as lanes of one merged event loop (see
-/// `hq_gpu::sim::run_batch`): one shared K-lane queue, each lane an
-/// independent simulator built by the same [`build_run`] the serial
-/// path uses. Recovery re-runs happen serially per lane afterwards
-/// (they are rare fault-path follow-ups, not the hot path). Output is
-/// element-for-element identical to calling [`run_schedule`] on each
-/// job in order.
+/// Run many schedules back to back: element-for-element identical to
+/// calling [`run_schedule`] on each job in order. The batch entry
+/// point for callers that hand over several schedules at once (the
+/// batched scheduler search, the scenario cache's cold lanes).
 pub fn run_schedule_batch(jobs: &[(RunConfig, Vec<AppSpec>)]) -> Vec<Result<RunOutcome, SimError>> {
-    let mut sims = Vec::with_capacity(jobs.len());
-    let mut labels = Vec::with_capacity(jobs.len());
-    for (cfg, specs) in jobs {
-        let (sim, l) = build_run(cfg, specs, &cfg.faults, cfg.seed);
-        sims.push(sim);
-        labels.push(l);
-    }
-    let batch = run_batch(sims);
-    batch
-        .results
-        .into_iter()
-        .zip(labels)
-        .zip(jobs)
-        .map(|((res, schedule), (cfg, specs))| {
-            let result = res?;
-            let power =
-                PowerMonitor::with_period(cfg.power, cfg.sample_period).measure(&result);
-            let mut out = RunOutcome {
-                schedule,
-                result,
-                power,
-                retries: 0,
-                degraded: false,
-            };
-            let any_failed = out.result.apps.iter().any(|a| a.outcome.is_failed());
-            if !cfg.faults.is_empty() && any_failed {
-                apply_recovery(cfg, specs, &mut out)?;
-                out.power =
-                    PowerMonitor::with_period(cfg.power, cfg.sample_period).measure(&out.result);
-            }
-            Ok(out)
-        })
+    jobs.iter()
+        .map(|(cfg, specs)| run_schedule(cfg, specs))
         .collect()
 }
 

@@ -423,15 +423,6 @@ impl<M> EventQueue<M> {
         None
     }
 
-    /// Lifetime count of stale cancellations (cancels that targeted an
-    /// already-delivered event). Cheap accessor for wrappers that need
-    /// to attribute a failed [`EventQueue::cancel`] without building a
-    /// full [`QueueStats`].
-    #[inline]
-    pub fn stale_cancel_count(&self) -> u64 {
-        self.stale_cancels
-    }
-
     // ------------------------------------------------------------------
     // 4-ary min-heap plumbing
     // ------------------------------------------------------------------
@@ -452,151 +443,6 @@ impl<M> EventQueue<M> {
         let ret = std::mem::replace(&mut self.heap[0], last);
         sift_down(&mut self.heap, 0);
         Some(ret)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lane-tagged merged queue
-// ---------------------------------------------------------------------
-
-/// Per-lane lifetime counters behind [`LaneQueue::lane_stats`].
-#[derive(Clone, Copy, Debug, Default)]
-struct LaneCounters {
-    scheduled: u64,
-    popped: u64,
-    cancelled: u64,
-    stale_cancels: u64,
-    pending: usize,
-    peak_pending: usize,
-}
-
-/// A K-lane future-event list: one merged heap whose events are tagged
-/// `(lane, time_ns, seq)` and pop in a single global `(time, seq)`
-/// order.
-///
-/// This is the batch executor's spine. K independent simulations
-/// (lanes) schedule into one shared heap; the driver pops the merged
-/// stream and dispatches each event to its owning lane. Because lanes
-/// never read each other's state, the projection of the merged order
-/// onto one lane is exactly that lane's standalone order: within a
-/// lane, schedule calls happen in the same relative order as a solo
-/// run, so the global sequence numbers — though shared across lanes —
-/// increase in the same within-lane order as a private queue's would,
-/// and `(time, seq)` ties inside a lane break FIFO exactly as before.
-/// The clock ([`LaneQueue::now`]) is global, but it always equals the
-/// current event's timestamp while a lane's handler runs, which is the
-/// only moment a lane observes it.
-///
-/// Per-lane counters ([`LaneQueue::lane_stats`], [`LaneQueue::pending`],
-/// [`LaneQueue::popped`]) are exact — with a single lane they are
-/// bit-identical to a plain [`EventQueue`]'s — except for
-/// `peak_tombstone_ratio`, which is a property of the shared heap and
-/// is reported globally (the `SimPerf` docs already class it as a
-/// diagnostic, not a deterministic output).
-pub struct LaneQueue<M> {
-    inner: EventQueue<(u32, M)>,
-    lanes: Vec<LaneCounters>,
-}
-
-impl<M> LaneQueue<M> {
-    /// A merged queue over `lanes` lanes with the clock at `t = 0`.
-    pub fn new(lanes: usize) -> Self {
-        LaneQueue {
-            inner: EventQueue::new(),
-            lanes: vec![LaneCounters::default(); lanes],
-        }
-    }
-
-    /// Number of lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Global simulation clock (timestamp of the last popped event).
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-
-    /// Schedule `msg` on `lane` at absolute time `at`.
-    pub fn schedule_at(&mut self, lane: u32, at: SimTime, msg: M) -> EventId {
-        let id = self.inner.schedule_at(at, (lane, msg));
-        let l = &mut self.lanes[lane as usize];
-        l.scheduled += 1;
-        l.pending += 1;
-        l.peak_pending = l.peak_pending.max(l.pending);
-        id
-    }
-
-    /// Schedule `msg` on `lane` after a delay relative to the clock.
-    pub fn schedule_in(&mut self, lane: u32, delay: Dur, msg: M) -> EventId {
-        self.schedule_at(lane, self.inner.now() + delay, msg)
-    }
-
-    /// Cancel an event previously scheduled by `lane`. Attribution is
-    /// by caller: lanes only ever hold their own [`EventId`]s.
-    pub fn cancel(&mut self, lane: u32, id: EventId) -> bool {
-        let stale_before = self.inner.stale_cancel_count();
-        let ok = self.inner.cancel(id);
-        let l = &mut self.lanes[lane as usize];
-        if ok {
-            l.cancelled += 1;
-            l.pending -= 1;
-        } else if self.inner.stale_cancel_count() > stale_before {
-            l.stale_cancels += 1;
-        }
-        ok
-    }
-
-    /// Pop the next live event in merged `(time, seq)` order.
-    pub fn pop(&mut self) -> Option<(u32, SimTime, M)> {
-        let (t, (lane, msg)) = self.inner.pop()?;
-        let l = &mut self.lanes[lane as usize];
-        l.popped += 1;
-        l.pending -= 1;
-        Some((lane, t, msg))
-    }
-
-    /// Live events still pending for one lane.
-    pub fn pending(&self, lane: u32) -> usize {
-        self.lanes[lane as usize].pending
-    }
-
-    /// Live events still pending across every lane.
-    pub fn total_pending(&self) -> usize {
-        self.inner.pending()
-    }
-
-    /// True when no live events remain on any lane.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Events delivered to one lane so far.
-    #[inline]
-    pub fn popped(&self, lane: u32) -> u64 {
-        self.lanes[lane as usize].popped
-    }
-
-    /// Events delivered across all lanes.
-    #[inline]
-    pub fn total_popped(&self) -> u64 {
-        self.inner.popped()
-    }
-
-    /// Lifetime counters for one lane. Exact per-lane values except
-    /// `peak_tombstone_ratio`, which is the shared heap's global peak
-    /// (identical to the lane's own with a single lane).
-    pub fn lane_stats(&self, lane: u32) -> QueueStats {
-        let l = self.lanes[lane as usize];
-        QueueStats {
-            scheduled: l.scheduled,
-            popped: l.popped,
-            cancelled: l.cancelled,
-            stale_cancels: l.stale_cancels,
-            peak_pending: l.peak_pending,
-            peak_tombstone_ratio: self.inner.stats().peak_tombstone_ratio,
-        }
     }
 }
 
@@ -791,137 +637,5 @@ mod tests {
         q.schedule_at(SimTime::from_ns(100), ());
         q.pop();
         q.schedule_at(SimTime::from_ns(50), ());
-    }
-
-    // -----------------------------------------------------------------
-    // LaneQueue
-    // -----------------------------------------------------------------
-
-    #[test]
-    fn lane_queue_pops_merged_time_order_with_fifo_ties() {
-        let mut q: LaneQueue<&str> = LaneQueue::new(3);
-        q.schedule_at(2, SimTime::from_ns(5), "l2-a");
-        q.schedule_at(0, SimTime::from_ns(5), "l0-a");
-        q.schedule_at(1, SimTime::from_ns(3), "l1-a");
-        q.schedule_at(0, SimTime::from_ns(9), "l0-b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop())
-            .map(|(lane, t, m)| (lane, t.as_ns(), m))
-            .collect();
-        // Equal times break FIFO on the global sequence: lane 2's event
-        // was scheduled before lane 0's.
-        assert_eq!(
-            order,
-            vec![
-                (1, 3, "l1-a"),
-                (2, 5, "l2-a"),
-                (0, 5, "l0-a"),
-                (0, 9, "l0-b"),
-            ]
-        );
-    }
-
-    /// The defining property of the merged queue: K lanes interleaved
-    /// through one `LaneQueue` deliver each lane's events in exactly the
-    /// order K private `EventQueue`s would, and the per-lane counters
-    /// match the private queues' counters (modulo the documented global
-    /// tombstone ratio).
-    #[test]
-    fn lane_queue_projection_matches_private_queues() {
-        use crate::rng::DetRng;
-        const LANES: usize = 4;
-        let mut rng = DetRng::seed_from_u64(0xBA7C);
-        let mut merged: LaneQueue<u64> = LaneQueue::new(LANES);
-        let mut private: Vec<EventQueue<u64>> = (0..LANES).map(|_| EventQueue::new()).collect();
-        let mut merged_ids: Vec<Vec<EventId>> = vec![Vec::new(); LANES];
-        let mut private_ids: Vec<Vec<EventId>> = vec![Vec::new(); LANES];
-
-        // Random interleaved schedule/cancel traffic, mirrored into the
-        // private queues lane-for-lane in the same relative order.
-        for step in 0..2000u64 {
-            let lane = rng.gen_range(0usize..LANES);
-            if rng.gen_bool(0.25) && !merged_ids[lane].is_empty() {
-                let pick = rng.gen_range(0usize..merged_ids[lane].len());
-                let a = merged.cancel(lane as u32, merged_ids[lane][pick]);
-                let b = private[lane].cancel(private_ids[lane][pick]);
-                assert_eq!(a, b, "cancel outcome diverged at step {step}");
-            } else {
-                let t = SimTime::from_ns(rng.gen_range(0u64..500));
-                // Private clocks lag the merged clock (they only advance
-                // on their own pops in this test), so schedule in
-                // absolute time clamped to the merged clock to keep both
-                // sides in the future.
-                let t = t.max(merged.now());
-                merged_ids[lane].push(merged.schedule_at(lane as u32, t, step));
-                private_ids[lane].push(private[lane].schedule_at(t, step));
-            }
-            if rng.gen_bool(0.3) {
-                if let Some((lane, t, m)) = merged.pop() {
-                    let (pt, pm) = private[lane as usize].pop().expect("private lane has event");
-                    assert_eq!((t, m), (pt, pm), "pop diverged at step {step}");
-                }
-            }
-        }
-        // Drain: every remaining merged event matches its lane's private
-        // queue head.
-        while let Some((lane, t, m)) = merged.pop() {
-            let (pt, pm) = private[lane as usize].pop().expect("private lane has event");
-            assert_eq!((t, m), (pt, pm));
-        }
-        for (lane, pq) in private.iter_mut().enumerate() {
-            assert!(pq.pop().is_none(), "lane {lane} left events behind");
-            let ls = merged.lane_stats(lane as u32);
-            let ps = pq.stats();
-            assert_eq!(ls.scheduled, ps.scheduled, "lane {lane} scheduled");
-            assert_eq!(ls.popped, ps.popped, "lane {lane} popped");
-            assert_eq!(ls.cancelled, ps.cancelled, "lane {lane} cancelled");
-            assert_eq!(ls.stale_cancels, ps.stale_cancels, "lane {lane} stale");
-            assert_eq!(ls.peak_pending, ps.peak_pending, "lane {lane} peak");
-        }
-    }
-
-    #[test]
-    fn single_lane_queue_matches_event_queue_exactly() {
-        let mut lq: LaneQueue<u32> = LaneQueue::new(1);
-        let mut eq: EventQueue<u32> = EventQueue::new();
-        let mut lids = Vec::new();
-        let mut eids = Vec::new();
-        for i in 0..50u32 {
-            let t = SimTime::from_ns(((i as u64) * 37) % 200);
-            lids.push(lq.schedule_at(0, t, i));
-            eids.push(eq.schedule_at(t, i));
-        }
-        for i in (0..50).step_by(7) {
-            assert_eq!(lq.cancel(0, lids[i]), eq.cancel(eids[i]));
-        }
-        loop {
-            match (lq.pop(), eq.pop()) {
-                (Some((0, t1, m1)), Some((t2, m2))) => assert_eq!((t1, m1), (t2, m2)),
-                (None, None) => break,
-                other => panic!("queues diverged: {other:?}"),
-            }
-        }
-        // Stale cancel after delivery attributes to the lane.
-        assert!(!lq.cancel(0, lids[1]));
-        assert!(!eq.cancel(eids[1]));
-        let (ls, es) = (lq.lane_stats(0), eq.stats());
-        assert_eq!(ls, es, "single-lane stats must be bit-identical");
-        assert_eq!(lq.total_popped(), eq.popped());
-    }
-
-    #[test]
-    fn lane_queue_pending_is_per_lane() {
-        let mut q: LaneQueue<()> = LaneQueue::new(2);
-        let a = q.schedule_at(0, SimTime::from_ns(1), ());
-        q.schedule_at(1, SimTime::from_ns(2), ());
-        q.schedule_at(1, SimTime::from_ns(3), ());
-        assert_eq!((q.pending(0), q.pending(1)), (1, 2));
-        assert_eq!(q.total_pending(), 3);
-        q.cancel(0, a);
-        assert_eq!((q.pending(0), q.pending(1)), (0, 2));
-        assert!(!q.is_empty());
-        q.pop();
-        q.pop();
-        assert!(q.is_empty());
-        assert_eq!(q.lane_count(), 2);
     }
 }

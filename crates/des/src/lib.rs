@@ -39,14 +39,14 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{EventId, EventQueue, LaneQueue, QueueStats};
+pub use engine::{EventId, EventQueue, QueueStats};
 pub use intern::{Interner, Symbol};
 pub use rng::DetRng;
 pub use time::{Dur, SimTime};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::engine::{EventId, EventQueue, LaneQueue, QueueStats};
+    pub use crate::engine::{EventId, EventQueue, QueueStats};
     pub use crate::intern::{Interner, Symbol};
     pub use crate::observe::TransitionRing;
     pub use crate::record::{TimeSeries, Utilization};

@@ -80,6 +80,13 @@ impl Grid {
     pub fn is_finished(&self) -> bool {
         self.to_dispatch == 0 && self.outstanding == 0
     }
+
+    /// Account `n` of this grid's blocks placed on an SMX at `now`.
+    pub fn note_placed(&mut self, n: u32, now: SimTime) {
+        self.to_dispatch -= n;
+        self.outstanding += n;
+        self.first_dispatch.get_or_insert(now);
+    }
 }
 
 /// Aggregate resource totals used by the conservative-fit admission

@@ -271,9 +271,12 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Host-side throughput counters for one run: how fast the simulator
-/// itself chewed through its event loop. Wall-clock fields are
+/// itself chewed through its event loop. Every field describes this
+/// run's own event queue, so a run's counters do not depend on what
+/// else ran before or beside it. Wall-clock fields are
 /// *nondeterministic* (they measure the host machine, not the simulated
-/// device) and must never feed back into simulated results.
+/// device) and must never feed back into simulated results; every
+/// other field is a deterministic function of the run.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct SimPerf {
     /// Discrete events delivered by the future-event list.
@@ -288,7 +291,8 @@ pub struct SimPerf {
     pub cancelled: u64,
     /// Cancellations that targeted already-delivered events (no-ops).
     pub stale_cancels: u64,
-    /// Fraction of scheduled events that were cancelled.
+    /// Peak fraction of the queue's heap occupied by tombstones
+    /// (bounded at ⅓ by the queue's amortized purge).
     pub tombstone_ratio: f64,
 }
 

@@ -86,11 +86,7 @@ pub struct GpuSim {
     dev: DeviceConfig,
     host: HostConfig,
     rng: DetRng,
-    q: LaneQueue<Ev>,
-    /// This simulator's lane in `q`. Standalone runs own a one-lane
-    /// queue and use lane 0; [`run_batch`] swaps a shared K-lane queue
-    /// into each sim and re-tags it with its batch lane.
-    lane: u32,
+    q: EventQueue<Ev>,
     smxs: Vec<Smx>,
     engines: [Engine; 2],
     streams: Vec<Stream>,
@@ -169,8 +165,7 @@ impl GpuSim {
             dev,
             host,
             rng: DetRng::seed_from_u64(seed),
-            q: LaneQueue::new(1),
-            lane: 0,
+            q: EventQueue::new(),
             streams: Vec::new(),
             admission_wait: VecDeque::new(),
             ops: Vec::new(),
@@ -281,8 +276,11 @@ impl GpuSim {
     pub fn run(mut self) -> Result<SimResult, SimError> {
         self.begin()?;
         let loop_start = std::time::Instant::now();
-        while let Some((_, _, ev)) = self.q.pop() {
-            self.step(ev)?;
+        while let Some((_, ev)) = self.q.pop() {
+            self.handle(ev);
+            if self.audit.tripped() {
+                return Err(self.audit_failure());
+            }
         }
         let wall_secs = loop_start.elapsed().as_secs_f64();
         self.complete(wall_secs)
@@ -291,9 +289,7 @@ impl GpuSim {
     /// Pre-flight and initial events: place every application's device
     /// footprint through the allocator (exactly as the paper's parent
     /// thread cudaMallocs everything before launching children), then
-    /// schedule the staggered thread starts. Factored out of
-    /// [`GpuSim::run`] so [`run_batch`] can begin each lane against a
-    /// shared merged queue.
+    /// schedule the staggered thread starts.
     fn begin(&mut self) -> Result<(), SimError> {
         let mut pool = crate::memory::MemoryPool::new(self.dev.device_mem_bytes);
         for t in &self.threads {
@@ -318,31 +314,16 @@ impl GpuSim {
             if self.threads[i].start_after.is_none() {
                 let jit = self.jitter();
                 self.q
-                    .schedule_at(self.lane, at + jit, Ev::ThreadStart(AppId(i as u32)));
+                    .schedule_at(at + jit, Ev::ThreadStart(AppId(i as u32)));
                 at += self.host.thread_launch_stagger;
             }
         }
         Ok(())
     }
 
-    /// Dispatch one popped event and check the auditor. Both the
-    /// standalone loop and [`run_batch`]'s merged loop go through this
-    /// single per-event entry point, so batching cannot change a lane's
-    /// trajectory.
-    fn step(&mut self, ev: Ev) -> Result<(), SimError> {
-        self.handle(ev);
-        if self.audit.tripped() {
-            return Err(self.audit_failure());
-        }
-        Ok(())
-    }
-
     /// Post-drain bookkeeping: deadlock detection, audit finalization,
-    /// reliability sweeps, and `SimResult` extraction. Takes `&mut
-    /// self` (result components are moved out of their slots) so a
-    /// batched lane can finish while the shared queue lives on for its
-    /// siblings.
-    fn complete(&mut self, wall_secs: f64) -> Result<SimResult, SimError> {
+    /// reliability sweeps, and `SimResult` extraction.
+    fn complete(mut self, wall_secs: f64) -> Result<SimResult, SimError> {
         if self.finished_threads != self.threads.len() {
             let stuck = self
                 .threads
@@ -354,8 +335,7 @@ impl GpuSim {
         }
 
         // End-of-run conservation sweep: with every host thread done and
-        // this lane's events drained, the audited world must be
-        // quiescent.
+        // the queue drained, the audited world must be quiescent.
         if self.audit.is_on() {
             let now = self.q.now();
             self.audit.finalize(now);
@@ -384,19 +364,17 @@ impl GpuSim {
             .filter_map(|t| t.finished)
             .max()
             .unwrap_or(SimTime::ZERO);
-        let qs = self.q.lane_stats(self.lane);
+        let qs = self.q.stats();
+        let [htod, dtoh] = self.engines;
         Ok(SimResult {
-            device: self.dev.clone(),
+            device: self.dev,
             makespan,
-            apps: std::mem::take(&mut self.stats),
-            trace: std::mem::replace(&mut self.trace, TraceLog::disabled()),
-            resident_threads: std::mem::replace(&mut self.resident_threads, TimeSeries::new()),
-            active_smx: std::mem::replace(&mut self.active_smx, TimeSeries::new()),
-            dma_busy: [
-                self.engines[0].util.series().clone(),
-                self.engines[1].util.series().clone(),
-            ],
-            events: self.q.popped(self.lane),
+            apps: self.stats,
+            trace: self.trace,
+            resident_threads: self.resident_threads,
+            active_smx: self.active_smx,
+            dma_busy: [htod.util.series().clone(), dtoh.util.series().clone()],
+            events: qs.popped,
             perf: SimPerf {
                 events: qs.popped,
                 wall_secs,
@@ -410,7 +388,7 @@ impl GpuSim {
                 stale_cancels: qs.stale_cancels,
                 tombstone_ratio: qs.tombstone_ratio(),
             },
-            faults: std::mem::take(&mut self.fault_stats),
+            faults: self.fault_stats,
         })
     }
 
@@ -497,19 +475,19 @@ impl GpuSim {
             COp::HostWork(dur) => {
                 self.threads[idx].pc += 1;
                 let jit = self.jitter();
-                self.q.schedule_in(self.lane, dur + jit, Ev::HostResume(app));
+                self.q.schedule_in(dur + jit, Ev::HostResume(app));
             }
             COp::Memcpy { dir, bytes, label } => {
                 self.enqueue_device_op(app, OpKind::Copy { dir, bytes }, label);
                 self.threads[idx].pc += 1;
                 let cost = self.host.driver_call_overhead + self.jitter();
-                self.q.schedule_in(self.lane, cost, Ev::HostResume(app));
+                self.q.schedule_in(cost, Ev::HostResume(app));
             }
             COp::Launch(kernel) => {
                 self.enqueue_device_op(app, OpKind::Kernel { desc: kernel }, kernel.name);
                 self.threads[idx].pc += 1;
                 let cost = self.host.driver_call_overhead + self.jitter();
-                self.q.schedule_in(self.lane, cost, Ev::HostResume(app));
+                self.q.schedule_in(cost, Ev::HostResume(app));
             }
             COp::Sync => {
                 let stream = self.threads[idx].stream;
@@ -518,7 +496,7 @@ impl GpuSim {
                 } else {
                     self.threads[idx].pc += 1;
                     let cost = self.host.driver_call_overhead + self.jitter();
-                    self.q.schedule_in(self.lane, cost, Ev::HostResume(app));
+                    self.q.schedule_in(cost, Ev::HostResume(app));
                 }
             }
             COp::Lock(m) => {
@@ -527,7 +505,7 @@ impl GpuSim {
                 if granted {
                     self.threads[idx].pc += 1;
                     let cost = self.host.mutex_overhead + self.jitter();
-                    self.q.schedule_in(self.lane, cost, Ev::HostResume(app));
+                    self.q.schedule_in(cost, Ev::HostResume(app));
                 } else {
                     self.threads[idx].state = HostState::BlockedOnMutex(m);
                 }
@@ -543,11 +521,11 @@ impl GpuSim {
                     nt.state = HostState::Running;
                     nt.pc += 1;
                     let cost = self.host.mutex_overhead + self.jitter();
-                    self.q.schedule_in(self.lane, cost, Ev::HostResume(next));
+                    self.q.schedule_in(cost, Ev::HostResume(next));
                 }
                 self.threads[idx].pc += 1;
                 let cost = self.host.mutex_overhead + self.jitter();
-                self.q.schedule_in(self.lane, cost, Ev::HostResume(app));
+                self.q.schedule_in(cost, Ev::HostResume(app));
             }
         }
     }
@@ -565,7 +543,7 @@ impl GpuSim {
         for i in 0..self.threads.len() {
             if self.threads[i].start_after == Some(app) {
                 let d = self.host.thread_launch_stagger + self.jitter();
-                self.q.schedule_in(self.lane, d, Ev::ThreadStart(AppId(i as u32)));
+                self.q.schedule_in(d, Ev::ThreadStart(AppId(i as u32)));
             }
         }
     }
@@ -589,7 +567,7 @@ impl GpuSim {
                 nt.state = HostState::Running;
                 nt.pc += 1;
                 let cost = self.host.mutex_overhead + self.jitter();
-                self.q.schedule_in(self.lane, cost, Ev::HostResume(next));
+                self.q.schedule_in(cost, Ev::HostResume(next));
             }
         }
     }
@@ -654,7 +632,7 @@ impl GpuSim {
                 if self.faults.next_copy_fails(app) {
                     // The failure surfaces after the bus latency, like a
                     // real aborted transfer.
-                    self.q.schedule_in(self.lane, self.dev.dma.latency, Ev::CopyFault(op));
+                    self.q.schedule_in(self.dev.dma.latency, Ev::CopyFault(op));
                     return;
                 }
                 self.engines[dir.index()].submit(seq, op, stream, bytes);
@@ -672,7 +650,7 @@ impl GpuSim {
                 if at_head {
                     self.gmu.grids[gid.index()].state = GridState::Launching;
                     self.q
-                        .schedule_at(self.lane, now + self.dev.kernel_launch_latency, Ev::GridReady(gid));
+                        .schedule_at(now + self.dev.kernel_launch_latency, Ev::GridReady(gid));
                 }
             }
         }
@@ -688,7 +666,7 @@ impl GpuSim {
                     self.audit.on_copy_start(now, dir, op, at_head);
                 }
             }
-            self.q.schedule_in(self.lane, dur, Ev::CopyDone(dir));
+            self.q.schedule_in(dur, Ev::CopyDone(dir));
         }
     }
 
@@ -780,7 +758,7 @@ impl GpuSim {
             // Waking from cudaStreamSynchronize costs a short hop back
             // to user code.
             let d = Dur::from_ns(500) + self.jitter();
-            self.q.schedule_at(self.lane, now + d, Ev::HostResume(app));
+            self.q.schedule_at(now + d, Ev::HostResume(app));
         }
     }
 
@@ -843,7 +821,65 @@ impl GpuSim {
     /// order, packing blocks onto SMXs until resources are exhausted.
     fn dispatch(&mut self) {
         self.dispatch_fresh = false;
-        self.dispatch_on(None);
+        // Nothing visible to the dispatcher: skip the SMX scan entirely.
+        if self.gmu.dispatchable.is_empty() {
+            return;
+        }
+        let now = self.q.now();
+        let mut touched = std::mem::take(&mut self.scratch_touched);
+        let mut fits = std::mem::take(&mut self.scratch_fits);
+        touched.clear();
+        let mut i = 0;
+        while i < self.gmu.dispatchable.len() {
+            let gid = self.gmu.dispatchable[i];
+            // The hardware thread-block scheduler distributes a grid's
+            // blocks across SMX units rather than filling one unit at a
+            // time; emulate that with placement rounds — each round
+            // spreads an even share over every SMX that still fits a
+            // block of this kernel.
+            loop {
+                let grid = &self.gmu.grids[gid.index()];
+                let to_dispatch = grid.to_dispatch;
+                if to_dispatch == 0 {
+                    break;
+                }
+                fits.clear();
+                fits.extend(self.smxs.iter().enumerate().filter_map(|(si, s)| {
+                    let fit = s.max_fit(&grid.desc);
+                    (fit > 0).then_some((si, fit))
+                }));
+                if fits.is_empty() {
+                    break;
+                }
+                let share = to_dispatch.div_ceil(fits.len() as u32).max(1);
+                let mut left = to_dispatch;
+                for &(si, fit) in &fits {
+                    if left == 0 {
+                        break;
+                    }
+                    let n = fit.min(share).min(left);
+                    self.place_group(now, si, gid, n);
+                    left -= n;
+                    if !touched.contains(&si) {
+                        touched.push(si);
+                    }
+                }
+                self.gmu.grids[gid.index()].note_placed(to_dispatch - left, now);
+            }
+            if self.gmu.grids[gid.index()].to_dispatch == 0 {
+                self.gmu.dispatchable.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        for &si in &touched {
+            self.reschedule_smx(si);
+        }
+        if !touched.is_empty() {
+            self.record_occupancy(now);
+        }
+        self.scratch_touched = touched;
+        self.scratch_fits = fits;
     }
 
     /// Dispatcher sweep restricted to the one SMX that just freed
@@ -853,129 +889,52 @@ impl GpuSim {
     /// other units is provably wasted work (the sweep is byte-for-byte
     /// equivalent). A fresh, never-scanned grid voids that reasoning —
     /// fall back to the full sweep.
+    ///
+    /// Each grid gets one placement round: it fills `si` to its fit or
+    /// empties the grid, so a second round would place nothing. The
+    /// caller (`on_group_done`) reschedules `si` and samples occupancy
+    /// itself, right after and at the same instant.
     fn dispatch_freed(&mut self, si: usize) {
         if self.dispatch_fresh {
             self.dispatch();
-        } else {
-            self.dispatch_on(Some(si));
-        }
-    }
-
-    fn dispatch_on(&mut self, only: Option<usize>) {
-        // Nothing visible to the dispatcher: skip the SMX scan entirely.
-        // Group completions call dispatch() on every event, and for
-        // compute-light phases the dispatchable list is usually empty.
-        if self.gmu.dispatchable.is_empty() {
             return;
         }
         let now = self.q.now();
-        let mut touched = std::mem::take(&mut self.scratch_touched);
-        let mut fits = std::mem::take(&mut self.scratch_fits);
-        touched.clear();
-        #[cfg(test)]
-        let sabotage = self.sabotage;
-        {
-            // Split borrows: the grid descriptor stays borrowed from the
-            // GMU while SMXs are mutated.
-            let Self {
-                gmu,
-                smxs,
-                group_token,
-                audit,
-                occ_threads,
-                occ_active,
-                ..
-            } = self;
-            let mut i = 0;
-            while i < gmu.dispatchable.len() {
-                let gid = gmu.dispatchable[i];
-                let mut to_dispatch = gmu.grids[gid.index()].to_dispatch;
-                let before = to_dispatch;
-                // The hardware thread-block scheduler distributes a grid's
-                // blocks across SMX units rather than filling one unit at a
-                // time; emulate that with placement rounds — each round
-                // spreads an even share over every SMX that still fits a
-                // block of this kernel.
-                while to_dispatch > 0 {
-                    let desc = &gmu.grids[gid.index()].desc;
-                    fits.clear();
-                    match only {
-                        Some(si) => {
-                            let fit = smxs[si].max_fit(desc);
-                            if fit > 0 {
-                                fits.push((si, fit));
-                            }
-                        }
-                        None => fits.extend(smxs.iter().enumerate().filter_map(|(si, s)| {
-                            let fit = s.max_fit(desc);
-                            (fit > 0).then_some((si, fit))
-                        })),
-                    }
-                    if fits.is_empty() {
-                        break;
-                    }
-                    let share = to_dispatch.div_ceil(fits.len() as u32).max(1);
-                    for &(si, fit) in &fits {
-                        if to_dispatch == 0 {
-                            break;
-                        }
-                        let n = fit.min(share).min(to_dispatch);
-                        let token = *group_token;
-                        *group_token += 1;
-                        let smx = &mut smxs[si];
-                        smx.advance(now);
-                        if smx.is_idle() {
-                            *occ_active += 1;
-                        }
-                        *occ_threads += n * desc.threads_per_block();
-                        smx.place(now, token, gid, desc, n);
-                        audit.on_dispatch(now, si, token, gid, desc, n);
-                        #[cfg(test)]
-                        if sabotage == Sabotage::OverAdmit {
-                            // Phantom oversized placement: the shadow
-                            // SMX sees a full extra complement of blocks
-                            // that was never actually placed.
-                            audit.on_dispatch(now, si, u64::MAX, gid, desc, 16);
-                        }
-                        to_dispatch -= n;
-                        if !touched.contains(&si) {
-                            touched.push(si);
-                        }
-                    }
-                }
-                let placed = before - to_dispatch;
-                if placed > 0 {
-                    let grid = &mut gmu.grids[gid.index()];
-                    grid.outstanding += placed;
-                    grid.to_dispatch = to_dispatch;
-                    if grid.first_dispatch.is_none() {
-                        grid.first_dispatch = Some(now);
-                    }
-                }
-                if to_dispatch == 0 {
-                    gmu.dispatchable.remove(i);
-                } else {
-                    i += 1;
-                }
+        let mut i = 0;
+        while i < self.gmu.dispatchable.len() {
+            let gid = self.gmu.dispatchable[i];
+            let grid = &self.gmu.grids[gid.index()];
+            let n = self.smxs[si].max_fit(&grid.desc).min(grid.to_dispatch);
+            if n > 0 {
+                self.place_group(now, si, gid, n);
+                self.gmu.grids[gid.index()].note_placed(n, now);
+            }
+            if self.gmu.grids[gid.index()].to_dispatch == 0 {
+                self.gmu.dispatchable.remove(i);
+            } else {
+                i += 1;
             }
         }
-        // A restricted sweep can only touch `only`, and its caller
-        // (`on_group_done`) reschedules that SMX and samples occupancy
-        // itself — right after, at the same instant — so doing either
-        // here would be duplicated work.
-        if only.is_none() {
-            for si in touched.iter().copied() {
-                self.reschedule_smx(si);
-            }
-            let did_place = !touched.is_empty();
-            self.scratch_touched = touched;
-            self.scratch_fits = fits;
-            if did_place {
-                self.record_occupancy(now);
-            }
-        } else {
-            self.scratch_touched = touched;
-            self.scratch_fits = fits;
+    }
+
+    /// Place `n` blocks of `gid` on SMX `si` as one new group.
+    fn place_group(&mut self, now: SimTime, si: usize, gid: GridId, n: u32) {
+        let desc = &self.gmu.grids[gid.index()].desc;
+        let token = self.group_token;
+        self.group_token += 1;
+        let smx = &mut self.smxs[si];
+        smx.advance(now);
+        if smx.is_idle() {
+            self.occ_active += 1;
+        }
+        self.occ_threads += n * desc.threads_per_block();
+        smx.place(now, token, gid, desc, n);
+        self.audit.on_dispatch(now, si, token, gid, desc, n);
+        #[cfg(test)]
+        if self.sabotage == Sabotage::OverAdmit {
+            // Phantom oversized placement: the shadow SMX sees a full
+            // extra complement of blocks that was never actually placed.
+            self.audit.on_dispatch(now, si, u64::MAX, gid, desc, 16);
         }
     }
 
@@ -986,7 +945,6 @@ impl GpuSim {
     /// get one; otherwise every group's event is cancelled and
     /// recomputed at the new rate.
     fn reschedule_smx(&mut self, si: usize) {
-        let lane = self.lane;
         let q = &mut self.q;
         let gmu = &self.gmu;
         let smx = &mut self.smxs[si];
@@ -994,25 +952,23 @@ impl GpuSim {
         let rate_changed = rate != smx.sched_rate;
         smx.sched_rate = rate;
         for g in smx.groups_mut() {
-            // A hung grid's blocks never complete: cancel any pending
-            // completion and let the group squat on its residency (and
-            // drag the processor-sharing rate) until the watchdog evicts
-            // the grid.
-            if gmu.grids[g.grid.index()].fault == Some(GridFault::Hang) {
-                if let Some(ev) = g.ev.take() {
-                    q.cancel(lane, ev);
-                }
-                continue;
-            }
             if !rate_changed && g.ev.is_some() {
                 continue;
             }
+            // A hung grid's blocks never complete: the group squats on
+            // its residency (and drags the processor-sharing rate) until
+            // the watchdog evicts the grid. It never holds an event to
+            // cancel — the grid's fate is fixed in `activate_op`, before
+            // its `GridReady`, so none was ever issued for it.
+            if gmu.grids[g.grid.index()].fault == Some(GridFault::Hang) {
+                debug_assert!(g.ev.is_none(), "hung group holds a completion event");
+                continue;
+            }
             if let Some(ev) = g.ev.take() {
-                q.cancel(lane, ev);
+                q.cancel(ev);
             }
             let eta = Dur::from_ns((g.remaining_ns() / rate).ceil() as u64);
             g.ev = Some(q.schedule_in(
-                lane,
                 eta,
                 Ev::GroupDone {
                     smx: si as u32,
@@ -1084,7 +1040,7 @@ impl GpuSim {
         let admitted = grid.admitted;
         let watchdog = grid.watchdog.take();
         if let Some(ev) = watchdog {
-            self.q.cancel(self.lane, ev);
+            self.q.cancel(ev);
         }
         self.audit.on_grid_finished(now, gid);
         self.trace
@@ -1104,7 +1060,7 @@ impl GpuSim {
         if let Some(next) = self.gmu.pop_queue_head(gid) {
             self.gmu.grids[next.index()].state = GridState::Launching;
             self.q
-                .schedule_at(self.lane, now + self.dev.kernel_launch_latency, Ev::GridReady(next));
+                .schedule_at(now + self.dev.kernel_launch_latency, Ev::GridReady(next));
         }
         self.complete_op(op);
     }
@@ -1122,7 +1078,7 @@ impl GpuSim {
         let mark = self.gmu.grids[gid.index()].completed_blocks;
         let ev = self
             .q
-            .schedule_in(self.lane, timeout, Ev::WatchdogFire { grid: gid, mark });
+            .schedule_in(timeout, Ev::WatchdogFire { grid: gid, mark });
         self.gmu.grids[gid.index()].watchdog = Some(ev);
     }
 
@@ -1173,7 +1129,7 @@ impl GpuSim {
                 if let Some(group) = self.smxs[si].evict(token) {
                     self.occ_threads -= group.threads();
                     if let Some(ev) = group.ev {
-                        self.q.cancel(self.lane, ev);
+                        self.q.cancel(ev);
                     }
                     self.audit.on_group_evicted(now, si, token);
                 }
@@ -1197,7 +1153,7 @@ impl GpuSim {
         grid.outstanding = 0;
         grid.to_dispatch = 0;
         if let Some(ev) = watchdog {
-            self.q.cancel(self.lane, ev);
+            self.q.cancel(ev);
         }
         self.audit.on_grid_killed(now, gid, reason);
         if let Some(start) = start {
@@ -1225,7 +1181,7 @@ impl GpuSim {
         if let Some(next) = self.gmu.pop_queue_head(gid) {
             self.gmu.grids[next.index()].state = GridState::Launching;
             self.q
-                .schedule_at(self.lane, now + self.dev.kernel_launch_latency, Ev::GridReady(next));
+                .schedule_at(now + self.dev.kernel_launch_latency, Ev::GridReady(next));
         }
         self.complete_op(op);
         self.dispatch();
@@ -1258,118 +1214,6 @@ impl GpuSim {
     }
 }
 
-/// Everything a batched run produces: one result slot per lane (in
-/// input order) plus merged-queue throughput numbers for the batch as
-/// a whole.
-#[derive(Debug)]
-pub struct BatchOutput {
-    /// Per-lane outcomes, in the order the sims were passed in.
-    pub results: Vec<Result<SimResult, SimError>>,
-    /// Total events popped from the shared queue, all lanes combined
-    /// (including events drained from lanes retired by an error).
-    pub events: u64,
-    /// Wall-clock seconds for the whole batch.
-    pub wall_secs: f64,
-}
-
-/// Run K independent simulations as lanes of one merged event loop.
-///
-/// All lanes share a single [`LaneQueue`]: events are tagged
-/// `(lane, time, seq)` and popped in one global merged order. Each
-/// popped event is dispatched with the shared queue swapped into the
-/// owning lane's `q` slot, so handlers run unchanged — the same
-/// `begin`/`step`/`complete` code path as [`GpuSim::run`], which is
-/// what makes per-lane trajectories byte-identical to standalone runs
-/// (see DESIGN.md §5h). A lane that errors (memory pre-flight, audit
-/// trip, deadlock) is retired immediately; its already-queued events
-/// are drained and ignored, and sibling lanes are untouched.
-pub fn run_batch(sims: Vec<GpuSim>) -> BatchOutput {
-    let k = sims.len();
-    let mut q: LaneQueue<Ev> = LaneQueue::new(k);
-    let mut lanes: Vec<Option<Box<GpuSim>>> =
-        sims.into_iter().map(|s| Some(Box::new(s))).collect();
-    let mut results: Vec<Option<Result<SimResult, SimError>>> = (0..k).map(|_| None).collect();
-    let start = std::time::Instant::now();
-
-    // Begin every lane against the shared queue. A lane that fails its
-    // memory pre-flight dies before scheduling anything; a lane with no
-    // threads at all completes immediately (empty result, like `run`).
-    for i in 0..k {
-        let sim = lanes[i].as_mut().expect("lane present at begin");
-        sim.lane = i as u32;
-        std::mem::swap(&mut sim.q, &mut q);
-        let begun = sim.begin();
-        std::mem::swap(&mut sim.q, &mut q);
-        match begun {
-            Err(e) => {
-                results[i] = Some(Err(e));
-                lanes[i] = None;
-            }
-            Ok(()) => {
-                if q.pending(i as u32) == 0 {
-                    let mut sim = lanes[i].take().expect("lane present at begin");
-                    std::mem::swap(&mut sim.q, &mut q);
-                    let done = sim.complete(start.elapsed().as_secs_f64());
-                    std::mem::swap(&mut sim.q, &mut q);
-                    results[i] = Some(done);
-                }
-            }
-        }
-    }
-
-    // The merged loop: one pop picks the globally-next event; its lane
-    // handles it exactly as a standalone run would (projected onto one
-    // lane, the merged order IS that lane's standalone order).
-    while let Some((lane, _at, ev)) = q.pop() {
-        let li = lane as usize;
-        let Some(sim) = lanes[li].as_mut() else {
-            continue; // retired lane: drain its leftover events
-        };
-        std::mem::swap(&mut sim.q, &mut q);
-        let stepped = sim.step(ev);
-        std::mem::swap(&mut sim.q, &mut q);
-        match stepped {
-            Err(e) => {
-                results[li] = Some(Err(e));
-                lanes[li] = None;
-            }
-            Ok(()) => {
-                if q.pending(lane) == 0 {
-                    // This lane's queue is drained: it finishes now, at
-                    // its own last event time, regardless of how much
-                    // longer its siblings run.
-                    let mut sim = lanes[li].take().expect("lane present in loop");
-                    std::mem::swap(&mut sim.q, &mut q);
-                    let done = sim.complete(start.elapsed().as_secs_f64());
-                    std::mem::swap(&mut sim.q, &mut q);
-                    results[li] = Some(done);
-                }
-            }
-        }
-    }
-
-    // Defensive: the loop retires every lane when its pending count
-    // hits zero, so nothing should be left — but never lose a result if
-    // that reasoning ever breaks.
-    for (i, slot) in lanes.iter_mut().enumerate() {
-        if let Some(mut sim) = slot.take() {
-            std::mem::swap(&mut sim.q, &mut q);
-            let done = sim.complete(start.elapsed().as_secs_f64());
-            std::mem::swap(&mut sim.q, &mut q);
-            results[i] = Some(done);
-        }
-    }
-
-    BatchOutput {
-        events: q.total_popped(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        results: results
-            .into_iter()
-            .map(|r| r.expect("every lane produced a result"))
-            .collect(),
-    }
-}
-
 /// Re-exports for a one-line import in downstream crates.
 pub mod prelude {
     pub use crate::audit::{AuditViolation, Auditor};
@@ -1382,7 +1226,7 @@ pub mod prelude {
     pub use crate::result::{
         AppOutcome, AppStats, FaultCounters, SimError, SimPerf, SimResult, TransferStats,
     };
-    pub use crate::sim::{run_batch, BatchOutput, GpuSim};
+    pub use crate::sim::GpuSim;
     pub use crate::types::{AppId, Dir, GridId, MutexId, OpId, StreamId};
 }
 
@@ -1470,110 +1314,6 @@ mod tests {
             }
             other => panic!("expected AuditFailure, got {other:?}"),
         }
-    }
-
-    /// A batched lane must reproduce the standalone run bit-for-bit on
-    /// every deterministic field, for each lane independently.
-    #[test]
-    fn batch_lanes_match_standalone_runs() {
-        fn mk(seed: u64) -> GpuSim {
-            let mut sim =
-                GpuSim::new(DeviceConfig::tesla_k20(), HostConfig::deterministic(), seed);
-            let m = sim.create_mutex();
-            for i in 0..2 {
-                let s = sim.create_stream();
-                let program = Program::builder(format!("app{i}"))
-                    .htod(256 * 1024, "in")
-                    .launch(KernelDesc::new("k", 32u32, 128u32, Dur::from_us(10)))
-                    .dtoh(256 * 1024, "out")
-                    .sync()
-                    .build()
-                    .with_htod_mutex(m, true);
-                sim.add_app(program, s);
-            }
-            sim
-        }
-        let solo: Vec<SimResult> = (0..4).map(|i| mk(11 + i).run().expect("solo")).collect();
-        let batch = run_batch((0..4).map(|i| mk(11 + i)).collect());
-        assert_eq!(batch.results.len(), 4);
-        assert!(batch.events >= solo.iter().map(|r| r.events).sum::<u64>());
-        for (lane, (b, s)) in batch.results.iter().zip(&solo).enumerate() {
-            let b = b.as_ref().expect("batched lane succeeds");
-            assert_eq!(b.makespan, s.makespan, "lane {lane} makespan");
-            assert_eq!(b.events, s.events, "lane {lane} events");
-            assert_eq!(b.perf.events, s.perf.events, "lane {lane} perf events");
-            assert_eq!(b.perf.peak_pending, s.perf.peak_pending, "lane {lane}");
-            assert_eq!(b.perf.cancelled, s.perf.cancelled, "lane {lane}");
-            assert_eq!(b.perf.stale_cancels, s.perf.stale_cancels, "lane {lane}");
-            assert_eq!(
-                format!("{:?}", b.apps),
-                format!("{:?}", s.apps),
-                "lane {lane} app stats"
-            );
-            assert_eq!(
-                format!("{:?} {:?}", b.resident_threads, b.active_smx),
-                format!("{:?} {:?}", s.resident_threads, s.active_smx),
-                "lane {lane} occupancy series"
-            );
-            assert_eq!(
-                format!("{:?}", b.faults),
-                format!("{:?}", s.faults),
-                "lane {lane} fault counters"
-            );
-        }
-    }
-
-    /// A single-lane batch is exactly a standalone run.
-    #[test]
-    fn single_lane_batch_matches_run() {
-        let solo = sample_sim().run().expect("solo");
-        let mut batch = run_batch(vec![sample_sim()]);
-        let b = batch.results.remove(0).expect("lane succeeds");
-        assert_eq!(b.makespan, solo.makespan);
-        assert_eq!(b.events, solo.events);
-        assert_eq!(format!("{:?}", b.apps), format!("{:?}", solo.apps));
-    }
-
-    /// Lane isolation: a lane that dies mid-run (audit trip on a
-    /// sabotaged notification stream) must not perturb its siblings —
-    /// they still match their standalone trajectories exactly.
-    #[test]
-    fn failing_lane_does_not_perturb_siblings() {
-        let solo = sample_sim().run().expect("solo");
-        let mut bad = sample_sim();
-        bad.enable_audit();
-        bad.set_sabotage(Sabotage::DoubleComplete);
-        let batch = run_batch(vec![sample_sim(), bad, sample_sim()]);
-        match &batch.results[1] {
-            Err(SimError::AuditFailure { .. }) => {}
-            other => panic!("sabotaged lane must trip the auditor, got {other:?}"),
-        }
-        for lane in [0usize, 2] {
-            let b = batch.results[lane].as_ref().expect("sibling lane succeeds");
-            assert_eq!(b.makespan, solo.makespan, "lane {lane} makespan");
-            assert_eq!(b.events, solo.events, "lane {lane} events");
-            assert_eq!(
-                format!("{:?}", b.apps),
-                format!("{:?}", solo.apps),
-                "lane {lane} app stats"
-            );
-        }
-    }
-
-    /// An empty batch and an empty lane (no apps) both behave like
-    /// their standalone equivalents.
-    #[test]
-    fn degenerate_batches_complete() {
-        let out = run_batch(Vec::new());
-        assert!(out.results.is_empty());
-        assert_eq!(out.events, 0);
-
-        let empty = GpuSim::new(DeviceConfig::tesla_k20(), HostConfig::deterministic(), 1);
-        let out = run_batch(vec![empty, sample_sim()]);
-        let e = out.results[0].as_ref().expect("empty lane completes");
-        assert_eq!(e.apps.len(), 0);
-        assert_eq!(e.events, 0);
-        assert!(out.results[1].is_ok());
     }
 
     /// Sabotage without the auditor enabled must not disturb the run:

@@ -33,16 +33,14 @@ pub struct Group {
     pub blocks: u32,
     /// Warps contributed per block.
     pub warps_per_block: u32,
-    /// When the group was placed.
-    pub started: SimTime,
     /// Pending completion event, owned by the simulator loop.
     pub ev: Option<EventId>,
     /// Remaining per-warp work, in nanoseconds at full issue rate.
     remaining: f64,
     /// Exact resident-resource deltas, released when the group retires.
     res_threads: u32,
-    res_regs: u64,
-    res_smem: u64,
+    res_regs: u32,
+    res_smem: u32,
 }
 
 impl Group {
@@ -70,9 +68,12 @@ pub struct Smx {
     last_update: SimTime,
     blocks: u32,
     threads: u32,
-    regs: u64,
-    smem: u64,
+    regs: u32,
+    smem: u32,
     warps: u32,
+    /// Current per-warp progress rate, recomputed whenever `warps`
+    /// changes (see [`Smx::rate`]).
+    rate: f64,
     /// Rate in effect when completion events were last (re)issued; when
     /// unchanged, outstanding events are still exact and need not be
     /// re-issued (a major event-churn saving for sub-capacity SMXs).
@@ -91,6 +92,7 @@ impl Smx {
             regs: 0,
             smem: 0,
             warps: 0,
+            rate: 1.0,
             sched_rate: 1.0,
         }
     }
@@ -116,12 +118,18 @@ impl Smx {
     }
 
     /// Current per-warp progress rate in `(0, 1]`.
+    #[inline]
     pub fn rate(&self) -> f64 {
-        if self.warps <= self.limits.issue_warps {
+        self.rate
+    }
+
+    /// Recompute the cached rate after a residency change.
+    fn update_rate(&mut self) {
+        self.rate = if self.warps <= self.limits.issue_warps {
             1.0
         } else {
             self.limits.issue_warps as f64 / self.warps as f64
-        }
+        };
     }
 
     /// Advance the processor-sharing clock to `now`, draining remaining
@@ -146,14 +154,12 @@ impl Smx {
             return 0;
         }
         let by_threads = (self.limits.max_threads - self.threads) / tpb;
-        let by_regs = (self.limits.max_regs as u64)
-            .saturating_sub(self.regs)
-            .checked_div(desc.regs_per_block() as u64)
-            .map_or(u32::MAX, |v| v as u32);
-        let by_smem = (self.limits.max_smem as u64)
-            .saturating_sub(self.smem)
-            .checked_div(desc.smem_per_block as u64)
-            .map_or(u32::MAX, |v| v as u32);
+        let by_regs = (self.limits.max_regs.saturating_sub(self.regs))
+            .checked_div(desc.regs_per_block())
+            .unwrap_or(u32::MAX);
+        let by_smem = (self.limits.max_smem.saturating_sub(self.smem))
+            .checked_div(desc.smem_per_block)
+            .unwrap_or(u32::MAX);
         by_blocks.min(by_threads).min(by_regs).min(by_smem)
     }
 
@@ -175,20 +181,20 @@ impl Smx {
         debug_assert!(n <= self.max_fit(desc), "group exceeds SMX residency");
         self.blocks += n;
         self.threads += n * desc.threads_per_block();
-        self.regs += n as u64 * desc.regs_per_block() as u64;
-        self.smem += n as u64 * desc.smem_per_block as u64;
+        self.regs += n * desc.regs_per_block();
+        self.smem += n * desc.smem_per_block;
         self.warps += n * desc.warps_per_block();
+        self.update_rate();
         self.groups.push(Group {
             token,
             grid,
             blocks: n,
             warps_per_block: desc.warps_per_block(),
-            started: now,
             ev: None,
             remaining: desc.work_per_block.as_ns() as f64,
             res_threads: n * desc.threads_per_block(),
-            res_regs: n as u64 * desc.regs_per_block() as u64,
-            res_smem: n as u64 * desc.smem_per_block as u64,
+            res_regs: n * desc.regs_per_block(),
+            res_smem: n * desc.smem_per_block,
         });
         self.groups.last().expect("just pushed")
     }
@@ -223,6 +229,7 @@ impl Smx {
         self.threads -= g.res_threads;
         self.regs -= g.res_regs;
         self.smem -= g.res_smem;
+        self.update_rate();
     }
 
     /// Time remaining until the given group completes at the current

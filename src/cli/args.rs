@@ -200,7 +200,7 @@ pub struct Cli {
     pub drr_quantum: u32,
     /// Brownout utilization threshold (`serve --brownout-threshold`, 0 = off).
     pub brownout_threshold: f64,
-    /// Jobs a worker drains per wakeup as one K-lane batch
+    /// Jobs a worker drains per wakeup and runs one after another
     /// (`serve --dispatch-batch`, 1 = solo dispatch).
     pub dispatch_batch: usize,
     /// Group-commit window in µs (`serve --commit-window-us`), held
