@@ -646,8 +646,8 @@ fn serve_child(socket: &str, dir: &str) -> ! {
 }
 
 /// Serving hot path: this binary re-executed as a server subprocess
-/// (batched dispatch K=8 and the 200 µs rate-gated group-commit
-/// window at their defaults), driven by 8 concurrent clients each
+/// (one job per worker wakeup and the 200 µs rate-gated group-commit
+/// window at its default), driven by 8 concurrent clients each
 /// doing synchronous `submit_and_wait` round-trips over the unix
 /// socket — the same shape and process boundary as the CI loadgen
 /// gate. A warmup burst primes the child's scenario cache before
@@ -762,8 +762,8 @@ fn bench_serve() -> ServeBench {
     // A single loadgen run on a contended 1-core box lands anywhere
     // between ~70% and ~95% of this bench's best-of-REPS, so the key
     // is derated to 0.7x: the resulting 0.8 * 0.7 = 0.56x bar still
-    // catches a collapse back to solo dispatch without flaking on
-    // scheduler noise. `serve_jobs_per_s` stays undiluted and carries
+    // catches a collapse of the serving path (e.g. back to one fsync
+    // per accept) without flaking on scheduler noise. `serve_jobs_per_s` stays undiluted and carries
     // the absolute >= 180 floor.
     ServeBench {
         serve_jobs_per_s: jobs_per_s,

@@ -13,15 +13,14 @@
 //! * **Dynamic scheduler** (§VI future work) — the greedy order search
 //!   of `hyperq_core::autosched` against the canonical orders.
 
+use crate::scenario::{run_scenario, run_scenario_workload};
 use crate::util::{par_map, ExperimentReport, Scale};
 use hq_des::time::Dur;
 use hq_gpu::prelude::*;
 use hq_workloads::apps::AppKind;
-use crate::scenario::{run_scenario, run_scenario_batch, run_scenario_batch_jobs, run_scenario_workload};
 use hyperq_core::autosched::{AutoScheduler, Objective};
 use hyperq_core::harness::{
-    build_schedule, homogeneous_workload, pair_workload, AppSpec, RecoveryPolicy, RunConfig,
-    RunOutcome,
+    homogeneous_workload, pair_workload, AppSpec, RecoveryPolicy, RunConfig, RunOutcome,
 };
 use hyperq_core::metrics::improvement;
 use hyperq_core::ordering::ScheduleOrder;
@@ -217,23 +216,15 @@ pub fn heterogeneity_study(scale: Scale) -> ExperimentReport {
     }
 }
 
-/// [`hyperq_core::autosched::BatchRunner`] backed by the batched
-/// scenario cache: warm candidates come straight from the cache, cold
-/// ones simulate one by one. The scheduler keeps owned outcomes, so
-/// each shared one is copied out.
-fn scenario_batch_runner(
-    cfg: &RunConfig,
-    lanes: &[Vec<AppSpec>],
-) -> Vec<Result<RunOutcome, SimError>> {
-    run_scenario_batch(cfg, lanes)
-        .into_iter()
-        .map(|r| r.map(Arc::unwrap_or_clone))
-        .collect()
+/// [`hyperq_core::autosched::Runner`] backed by the scenario cache:
+/// warm candidates come straight from the cache, cold ones simulate.
+/// The scheduler keeps owned outcomes, so each shared one is copied
+/// out.
+fn scenario_runner(cfg: &RunConfig, specs: &[AppSpec]) -> Result<RunOutcome, SimError> {
+    run_scenario(cfg, specs).map(Arc::unwrap_or_clone)
 }
 
 /// §VI future work: the greedy dynamic scheduler vs canonical orders.
-/// Candidate evaluation is batched (identical `SearchResult` to the
-/// serial search — `optimize_batched` replays the serial walk).
 pub fn autosched_study(scale: Scale) -> ExperimentReport {
     let na = scale.pick(8, 4);
     let kinds = pair_workload(AppKind::Needle, AppKind::Knearest, na as usize);
@@ -251,7 +242,7 @@ pub fn autosched_study(scale: Scale) -> ExperimentReport {
             swap_budget: scale.pick(24, 6),
             seed: 17,
         };
-        let res = sched.optimize_batched(scenario_batch_runner, &cfg, &kinds);
+        let res = sched.optimize_with(scenario_runner, &cfg, &kinds);
         // Sanity: re-running the found schedule reproduces the score.
         let replay = run_scenario(&cfg, &res.schedule).expect("replay");
         let replay_score = match objective {
@@ -311,14 +302,9 @@ pub fn fault_sweep(scale: Scale) -> ExperimentReport {
     let baseline = run_scenario_workload(&RunConfig::concurrent(na), &kinds)
         .expect("baseline")
         .makespan();
-    // Every (rate, policy) job goes through one batch (see
-    // `run_scenario_batch_jobs`): warm jobs are served from the
-    // scenario cache, so outcomes — and the artifact bytes
-    // derived from them — are identical to serial
-    // `run_scenario_workload` calls.
-    let batch_jobs: Vec<(RunConfig, Vec<AppSpec>)> = jobs
+    let rows: Vec<_> = jobs
         .iter()
-        .map(|&(rate, _, policy)| {
+        .map(|&(rate, name, policy)| {
             let plan = FaultPlan::none()
                 .with_rate(FaultKind::KernelFault, rate)
                 .with_rate(FaultKind::CopyFail, rate / 2.0)
@@ -326,23 +312,21 @@ pub fn fault_sweep(scale: Scale) -> ExperimentReport {
             let cfg = RunConfig::concurrent(na)
                 .with_faults(plan)
                 .with_recovery(policy);
-            let specs = build_schedule(&kinds, cfg.order, cfg.seed);
-            (cfg, specs)
-        })
-        .collect();
-    let outs = run_scenario_batch_jobs(&batch_jobs);
-    let rows: Vec<_> = jobs
-        .iter()
-        .zip(outs)
-        .map(|(&(rate, name, _), out)| {
-            let out = out.expect("faulty run drains");
+            let out = run_scenario_workload(&cfg, &kinds).expect("faulty run drains");
             let failed = out
                 .result
                 .apps
                 .iter()
                 .filter(|a| a.outcome.is_failed())
                 .count();
-            (rate, name, out.makespan(), failed, out.retries, out.degraded)
+            (
+                rate,
+                name,
+                out.makespan(),
+                failed,
+                out.retries,
+                out.degraded,
+            )
         })
         .collect();
     let mut table = Table::new(vec![

@@ -481,32 +481,8 @@ pub fn scenario_is_warm(cfg: &RunConfig, kinds: &[AppKind]) -> bool {
     Layers::from_env().is_warm(cfg, &specs)
 }
 
-/// Batched [`run_scenario`]: `lanes.len()` schedules of one shared
-/// config, each run through the cache in order — a warm lane is a
-/// memo/disk hit, a cold lane a solo simulation inserted into both
-/// layers. Outputs are element-for-element identical to serial
-/// [`run_scenario`] calls.
-pub fn run_scenario_batch(
-    cfg: &RunConfig,
-    lanes: &[Vec<AppSpec>],
-) -> Vec<Result<Arc<RunOutcome>, SimError>> {
-    let jobs: Vec<(RunConfig, Vec<AppSpec>)> =
-        lanes.iter().map(|specs| (cfg.clone(), specs.clone())).collect();
-    run_scenario_batch_jobs(&jobs)
-}
-
-/// Fully general batched scenario entry: each job carries its own
-/// config (the fault sweep batches across fault rates and policies this
-/// way). A repeat of an earlier job in the same batch hits the memo.
-pub fn run_scenario_batch_jobs(
-    jobs: &[(RunConfig, Vec<AppSpec>)],
-) -> Vec<Result<Arc<RunOutcome>, SimError>> {
-    let layers = Layers::from_env();
-    jobs.iter().map(|(cfg, specs)| layers.run(cfg, specs)).collect()
-}
-
 /// Encode an outcome exactly as its cache entry would be written — the
-/// byte-identity tests compare serial and batched runs through this
+/// byte-identity tests compare uncached and cached runs through this
 /// (the `perf ` line carries wall-clock numbers and is the one
 /// documented-nondeterministic line; strip it before comparing).
 pub fn encode_outcome(cfg: &RunConfig, specs: &[AppSpec], out: &RunOutcome) -> String {

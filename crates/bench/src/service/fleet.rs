@@ -104,8 +104,6 @@ pub struct FleetOptions {
     /// Brownout utilization threshold forwarded to every worker
     /// (0 = off).
     pub brownout_threshold: f64,
-    /// Per-wakeup dispatch batch size forwarded to every worker.
-    pub dispatch_batch: usize,
     /// Group-commit window (µs) forwarded to every worker.
     pub commit_window_us: u64,
 }
@@ -131,8 +129,7 @@ impl FleetOptions {
             tenant_max_inflight: 0,
             tenant_rate: 0.0,
             brownout_threshold: 0.0,
-            // Same serving defaults as a standalone `ServeOptions`.
-            dispatch_batch: 8,
+            // Same serving default as a standalone `ServeOptions`.
             commit_window_us: 200,
         }
     }
@@ -332,7 +329,6 @@ impl Fleet {
         if self.opts.brownout_threshold > 0.0 {
             cmd.args(["--brownout-threshold", &self.opts.brownout_threshold.to_string()]);
         }
-        cmd.args(["--dispatch-batch", &self.opts.dispatch_batch.max(1).to_string()]);
         cmd.args(["--commit-window-us", &self.opts.commit_window_us.to_string()]);
         let child = cmd
             .env("HQ_RESULTS", &dir)

@@ -194,6 +194,14 @@ fn encode_record(payload: &str) -> String {
     format!("{:016x} {payload}\n", fnv1a(payload.as_bytes()))
 }
 
+/// The `D` record payload for a finished job.
+fn done_payload(id: u64, status: &str, digest: Option<u64>) -> String {
+    match digest {
+        Some(d) => format!("D {id} {status} {d:016x}"),
+        None => format!("D {id} {status}"),
+    }
+}
+
 /// Fsync the directory containing `path` so a rename/unlink/create of
 /// the journal itself is durable. Errors are surfaced to the caller —
 /// the rotation paths carry the same durability contract as appends.
@@ -408,26 +416,21 @@ impl Journal {
     /// the fnv1a of the artifact bytes for `ok` completions so the
     /// scrubber can verify artifacts offline.
     pub fn done(&mut self, id: u64, status: &str, digest: Option<u64>) -> std::io::Result<()> {
-        match digest {
-            Some(d) => self.append(&format!("D {id} {status} {d:016x}")),
-            None => self.append(&format!("D {id} {status}")),
-        }
+        self.append(&done_payload(id, status, digest))
     }
 
-    /// Mark a whole dispatch batch finished: every `D` record in one
-    /// buffered write, preserving per-lane record order, with no
-    /// `sync_data`. Losing an unsynced `D` is benign — the job replays
-    /// to a byte-identical artifact — so the marks become durable for
-    /// free with the next accept commit or the shutdown seal.
-    pub fn done_batch(&mut self, marks: &[(u64, &str, Option<u64>)]) -> std::io::Result<()> {
-        let mut buf = String::with_capacity(marks.len() * 32);
-        for (id, status, digest) in marks {
-            match digest {
-                Some(d) => buf.push_str(&encode_record(&format!("D {id} {status} {d:016x}"))),
-                None => buf.push_str(&encode_record(&format!("D {id} {status}"))),
-            }
-        }
-        self.guard(|j| io::write_all(&mut j.file, &j.path, buf.as_bytes()))
+    /// [`Journal::done`] without `sync_data`. Losing an unsynced `D` is
+    /// benign — the job replays to a byte-identical artifact — so the
+    /// mark becomes durable for free with the next accept commit or
+    /// the shutdown seal.
+    pub fn done_nosync(
+        &mut self,
+        id: u64,
+        status: &str,
+        digest: Option<u64>,
+    ) -> std::io::Result<()> {
+        let rec = encode_record(&done_payload(id, status, digest));
+        self.guard(|j| io::write_all(&mut j.file, &j.path, rec.as_bytes()))
     }
 
     /// A duplicate handle onto the journal file for `sync_data` calls

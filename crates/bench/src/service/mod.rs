@@ -29,11 +29,11 @@
 //! * **Graceful shutdown** — SIGTERM or a `shutdown` request stops
 //!   accepting, drains in-flight jobs, seals the journal and removes
 //!   the socket.
-//! * **Batch concurrency** — workers drain up to `--dispatch-batch`
-//!   queued jobs per wakeup (in DRR order) and run them one after
-//!   another, each under its own panic guard, and `--commit-window-us`
-//!   group commit coalesces concurrent accept fsyncs into one
-//!   `sync_data` (DESIGN §5j).
+//! * **Concurrency** — each worker wakeup pops one queued job in DRR
+//!   order, runs it under its own panic guard and settles it at once,
+//!   so a short job never waits behind a long one while a worker is
+//!   idle; `--commit-window-us` group commit coalesces concurrent
+//!   accept fsyncs into one `sync_data` (DESIGN §5j).
 //!
 //! Workers are plain [`std::thread`]s over the scenario cache; the
 //! whole service uses only `std` primitives (`Mutex` + `Condvar` —
@@ -105,9 +105,6 @@ pub struct ServeOptions {
     /// past which brownout sheds cold work, serving warm scenario-cache
     /// hits only. 0 disables brownout.
     pub brownout_threshold: f64,
-    /// Max queued jobs a worker drains per wakeup; they then run one
-    /// after another. 1 reproduces solo dispatch exactly.
-    pub dispatch_batch: usize,
     /// Group-commit window in microseconds: while accept records
     /// arrive closer together than this (an EWMA of their gaps), a
     /// commit holds the window open so concurrent records share one
@@ -135,7 +132,6 @@ impl ServeOptions {
             tenant_burst: 0.0,
             drr_quantum: 1,
             brownout_threshold: 0.0,
-            dispatch_batch: 8,
             commit_window_us: 200,
         }
     }
@@ -648,10 +644,8 @@ pub struct Server {
     opts: ServeOptions,
     stop: AtomicBool,
     gc: GroupCommit,
-    /// Worker wakeups that dispatched ≥ 1 job.
+    /// Jobs dispatched to a worker, one per wakeup.
     dispatches: AtomicU64,
-    /// Jobs dispatched across all wakeups (occupancy numerator).
-    dispatched_jobs: AtomicU64,
     /// Submits answered `accepted`.
     accepts: AtomicU64,
     /// Submits answered with the original id of an already-accepted
@@ -744,7 +738,6 @@ impl Server {
             opts,
             stop: AtomicBool::new(false),
             dispatches: AtomicU64::new(0),
-            dispatched_jobs: AtomicU64::new(0),
             accepts: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
         });
@@ -1001,6 +994,7 @@ impl Server {
         open_circuits.sort();
         let (fsyncs, window_flushes, solo_flushes) = self.gc.counters();
         let memo = crate::scenario::memo_stats();
+        let dispatches = self.dispatches.load(Ordering::Relaxed);
         Response::Status(StatusReport {
             queued: g.tenants.total_queued() as u64,
             running: g.running.len() as u64,
@@ -1009,8 +1003,8 @@ impl Server {
             shed: g.shed,
             open_circuits,
             tenants: g.tenants.stats(),
-            dispatches: self.dispatches.load(Ordering::Relaxed),
-            dispatched_jobs: self.dispatched_jobs.load(Ordering::Relaxed),
+            dispatches,
+            dispatched_jobs: dispatches,
             accepts: self.accepts.load(Ordering::Relaxed),
             fsyncs,
             window_flushes,
@@ -1035,27 +1029,16 @@ impl Server {
 
     fn worker_loop(self: &Arc<Self>) {
         let policy = self.opts.tenant_policy();
-        let k = self.opts.dispatch_batch.max(1);
         loop {
-            // Drain up to K jobs in one wakeup. Each drain is a plain
-            // DRR pop, so tenancy order and per-tenant in-flight caps
-            // hold exactly as for solo dispatch — K-at-a-time changes
-            // only how many pops share one wakeup.
-            let batch = {
+            // One DRR pop per wakeup: a worker holds only the job it
+            // runs, so a short job queued behind a long one goes to
+            // the next idle worker instead of waiting its turn.
+            let job = {
                 let mut g = self.lock();
                 loop {
-                    let mut batch = Vec::new();
-                    while batch.len() < k {
-                        match g.tenants.pop(&policy) {
-                            Some((_, job)) => {
-                                g.running.insert(job.id);
-                                batch.push(job);
-                            }
-                            None => break,
-                        }
-                    }
-                    if !batch.is_empty() {
-                        break batch;
+                    if let Some((_, job)) = g.tenants.pop(&policy) {
+                        g.running.insert(job.id);
+                        break job;
                     }
                     // `pop` can return None with jobs still queued when
                     // every non-empty lane is at its in-flight cap; a
@@ -1074,92 +1057,74 @@ impl Server {
                 }
             };
             self.dispatches.fetch_add(1, Ordering::Relaxed);
-            self.dispatched_jobs
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            let settled = self.execute_batch(batch);
+            let (done, exec_ms, digest) = self.execute(&job);
             let mut g = self.lock();
-            let mut marks = Vec::with_capacity(settled.len());
-            for (job, done, exec_ms, digest) in &settled {
-                g.running.remove(&job.id);
-                g.completed += 1;
-                let served_ms = matches!(done, JobDone::Ok { .. })
-                    .then(|| job.accepted_at.elapsed().as_millis() as u64);
-                g.tenants.complete(&job.spec.tenant, served_ms);
-                if let Some(ms) = exec_ms {
-                    // Feed the deadline forecast with the tenant-
-                    // agnostic class: service time is a property of
-                    // the scenario, not of who submitted it.
-                    let class = job
-                        .spec
-                        .class
-                        .clone()
-                        .unwrap_or_else(|| job.spec.signature());
-                    g.estimator.observe(&class, *ms);
-                }
-                let success = !matches!(done, JobDone::Panicked(_) | JobDone::SimError(_));
-                g.breakers
-                    .entry(breaker_key(&job.spec))
-                    .or_default()
-                    .record(
-                        success,
-                        Instant::now(),
-                        self.opts.breaker_threshold,
-                        Duration::from_millis(self.opts.breaker_cooldown_ms),
-                    );
-                marks.push((job.id, done.code(), *digest));
+            g.running.remove(&job.id);
+            g.completed += 1;
+            let served_ms = matches!(done, JobDone::Ok { .. })
+                .then(|| job.accepted_at.elapsed().as_millis() as u64);
+            g.tenants.complete(&job.spec.tenant, served_ms);
+            if let Some(ms) = exec_ms {
+                // Feed the deadline forecast with the tenant-agnostic
+                // class: service time is a property of the scenario,
+                // not of who submitted it.
+                let class = job
+                    .spec
+                    .class
+                    .clone()
+                    .unwrap_or_else(|| job.spec.signature());
+                g.estimator.observe(&class, ms);
             }
-            // One buffered write marks the whole batch done. Done
-            // marks owe no durability (a lost `D` replays the job to a
-            // byte-identical artifact), so the bytes ride to disk with
-            // the next accept commit or the shutdown seal instead of
-            // costing a worker fsync here. A failed write latches the
-            // journal failed (the guard in `done_batch` does it);
-            // subsequent submits answer `unavailable`. The completions
-            // themselves stand — a lost `D` only costs a harmless
-            // replay.
-            if let Err(e) = g.journal.done_batch(&marks) {
-                eprintln!("service: journal done marks failed, journal sealed: {e}");
+            let success = !matches!(done, JobDone::Panicked(_) | JobDone::SimError(_));
+            g.breakers
+                .entry(breaker_key(&job.spec))
+                .or_default()
+                .record(
+                    success,
+                    Instant::now(),
+                    self.opts.breaker_threshold,
+                    Duration::from_millis(self.opts.breaker_cooldown_ms),
+                );
+            // Done marks owe no durability (a lost `D` replays the job
+            // to a byte-identical artifact), so the mark rides to disk
+            // with the next accept commit or the shutdown seal instead
+            // of costing a worker fsync here. A failed write latches
+            // the journal failed (the guard in `done_nosync` does it);
+            // subsequent submits answer `unavailable`. The completion
+            // itself stands — a lost `D` only costs a harmless replay.
+            if let Err(e) = g.journal.done_nosync(job.id, done.code(), digest) {
+                eprintln!("service: journal done mark failed, journal sealed: {e}");
             }
-            for (job, done, _, _) in settled {
-                g.results.insert(job.id, done);
-            }
+            g.results.insert(job.id, done);
             self.cond.notify_all();
         }
     }
 
-    /// Execute a drained batch outside any lock, returning per-job
-    /// `(job, outcome, exec_ms, digest)` in dispatch order. Each job
-    /// runs alone through [`execute_spec`], so it gets its own panic
-    /// isolation and its own `exec_ms` for the deadline estimator.
-    fn execute_batch(
-        &self,
-        batch: Vec<QueuedJob>,
-    ) -> Vec<(QueuedJob, JobDone, Option<f64>, Option<u64>)> {
-        batch
-            .into_iter()
-            .map(|job| {
-                let deadline = job
-                    .spec
-                    .deadline_ms
-                    .map(|ms| job.accepted_at + Duration::from_millis(ms));
-                let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-                if expired() {
-                    // Cancelled before it ever ran.
-                    return (job, JobDone::DeadlineExceeded, None, None);
-                }
-                let started = Instant::now();
-                let exec = execute_spec(&job.spec);
-                let exec_ms = started.elapsed().as_secs_f64() * 1000.0;
-                let (done, digest) = if expired() {
-                    // Finished too late: the result is discarded, no
-                    // artifact is written.
-                    (JobDone::DeadlineExceeded, None)
-                } else {
-                    finish(&self.opts, job.id, exec)
-                };
-                (job, done, Some(exec_ms), digest)
-            })
-            .collect()
+    /// Execute one dispatched job outside any lock, returning its
+    /// outcome, `exec_ms` for the deadline estimator (None when it was
+    /// cancelled before running) and its artifact digest. The job runs
+    /// through [`execute_spec`] under its own panic guard.
+    fn execute(&self, job: &QueuedJob) -> (JobDone, Option<f64>, Option<u64>) {
+        let deadline = job
+            .spec
+            .deadline_ms
+            .map(|ms| job.accepted_at + Duration::from_millis(ms));
+        let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+        if expired() {
+            // Cancelled before it ever ran.
+            return (JobDone::DeadlineExceeded, None, None);
+        }
+        let started = Instant::now();
+        let exec = execute_spec(&job.spec);
+        let exec_ms = started.elapsed().as_secs_f64() * 1000.0;
+        let (done, digest) = if expired() {
+            // Finished too late: the result is discarded, no artifact
+            // is written.
+            (JobDone::DeadlineExceeded, None)
+        } else {
+            finish(&self.opts, job.id, exec)
+        };
+        (done, Some(exec_ms), digest)
     }
 
     /// Bind the socket and serve until SIGTERM or a `shutdown`

@@ -548,15 +548,16 @@ pub struct StatusReport {
     pub open_circuits: Vec<String>,
     /// Per-tenant serving counters, sorted by tenant name.
     pub tenants: Vec<TenantStat>,
-    /// Worker wakeups that dispatched at least one job.
+    /// Jobs dispatched to a worker, one per wakeup.
     pub dispatches: u64,
-    /// Jobs dispatched across all wakeups; `dispatched_jobs /
-    /// dispatches` is the mean batch occupancy.
+    /// Jobs dispatched across all wakeups. Always equal to
+    /// `dispatches` now that a wakeup takes one job; kept in its wire
+    /// slot so existing readers of the status frame still parse it.
     pub dispatched_jobs: u64,
     /// Submits journaled and answered `accepted`.
     pub accepts: u64,
-    /// Journal `sync_data` calls issued (accept-side commits plus
-    /// batched done marks). `fsyncs / accepts` < 1 means group commit
+    /// Journal `sync_data` calls issued by accept-side commits (done
+    /// marks ride along unsynced). `fsyncs / accepts` < 1 means group commit
     /// is amortizing durability across concurrent submitters.
     pub fsyncs: u64,
     /// Accept-side commits whose fsync covered ≥ 2 staged records.

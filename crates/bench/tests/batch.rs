@@ -1,9 +1,11 @@
-//! Batched execution equivalence: K scenarios handed to a batch entry
-//! point (memo hits served first, cold lanes run back to back) must be
-//! indistinguishable — byte for byte — from the same K scenarios run
-//! serially, across the determinism axes (faults on/off, `HQ_AUDIT=1`,
-//! cold/warm scenario cache), and a lane that faults must not perturb
-//! its siblings.
+//! Cached execution equivalence: a scenario run through the scenario
+//! cache — cold (a miss that simulates and inserts), warm from the
+//! memo, warm from disk — must be indistinguishable, byte for byte,
+//! from the same scenario run uncached by `run_schedule`, across the
+//! determinism axes (faults on/off and recovery policy, `HQ_AUDIT=1`),
+//! and a job that faults must not perturb clean jobs run around it in
+//! the same process. Chaos batches must classify every case exactly
+//! as serial runs do.
 //!
 //! Artifact comparison goes through the scenario cache's own entry
 //! encoding ([`scenario::encode_outcome`]) — the exact bytes the cache
@@ -11,23 +13,23 @@
 //! `perf ` wall-clock line) stripped.
 
 use hq_bench::chaos::{self, Chaos};
-use hq_bench::scenario::{self, run_scenario, run_scenario_batch_jobs};
+use hq_bench::scenario::{self, run_scenario};
 use hq_bench::soak::Soak;
 use hq_des::rng::DetRng;
 use hq_des::time::Dur;
 use hq_gpu::prelude::*;
 use hq_workloads::apps::AppKind;
+use hyperq_core::autosched::{AutoScheduler, Objective};
 use hyperq_core::harness::{
-    build_schedule, pair_workload, run_schedule, run_schedule_batch, AppSpec, RecoveryPolicy,
-    RunConfig, RunOutcome,
+    build_schedule, pair_workload, run_schedule, AppSpec, RecoveryPolicy, RunConfig, RunOutcome,
 };
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
 /// Tests in this binary run on concurrent threads but mutate
-/// process-global environment variables (`HQ_RESULTS`,
-/// `HQ_SCENARIO_CACHE`, `HQ_AUDIT`) and the process-global scenario /
-/// chaos-case memos; every test holds this lock for its whole body.
+/// process-global environment variables (`HQ_RESULTS`, `HQ_AUDIT`)
+/// and the process-global scenario / chaos-case memos; every test
+/// holds this lock for its whole body.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Deterministic artifact bytes for one outcome: the cache entry
@@ -80,41 +82,59 @@ fn sim_perf(out: &RunOutcome) -> (u64, usize, u64, u64, u64) {
     )
 }
 
-/// Serial-vs-batched comparison for a fixed job list, on whatever
-/// env axis the caller has set up. Uses the uncached `run_schedule` /
-/// `run_schedule_batch` pair so both sides genuinely simulate. Each
-/// lane's `SimPerf` must equal its solo run's, wall clock excluded.
-fn assert_batch_matches_serial(jobs: &[(RunConfig, Vec<AppSpec>)], what: &str) {
-    let serial: Vec<_> = jobs
-        .iter()
-        .map(|(cfg, specs)| run_schedule(cfg, specs).expect("serial run"))
-        .collect();
-    let batched = run_schedule_batch(jobs);
-    assert_eq!(batched.len(), serial.len(), "{what}");
-    for (lane, ((cfg, specs), (s, b))) in
-        jobs.iter().zip(serial.iter().zip(&batched)).enumerate()
-    {
-        let b = b.as_ref().expect("batched lane");
-        assert_eq!(
-            artifact(cfg, specs, s),
-            artifact(cfg, specs, b),
-            "lane {lane} artifact bytes diverged ({what})"
-        );
-        assert_eq!(
-            sim_perf(s),
-            sim_perf(b),
-            "lane {lane} SimPerf diverged ({what})"
-        );
+/// Run `jobs` in order, each four ways — uncached `run_schedule`, then
+/// `run_scenario` cold, warm from the memo, and warm from disk (memo
+/// dropped) — against a fresh cache directory. Every cached run's
+/// artifact bytes and `SimPerf` must equal the uncached run's, the
+/// cold run must be exactly one miss and each warm run exactly one
+/// hit. Returns the uncached outcomes.
+fn assert_cached_matches_uncached(
+    jobs: &[(RunConfig, Vec<AppSpec>)],
+    what: &str,
+) -> Vec<RunOutcome> {
+    let dir = std::env::temp_dir().join(format!("hq_cached_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::env::set_var("HQ_RESULTS", &dir);
+    let mut uncached = Vec::new();
+    for (i, (cfg, specs)) in jobs.iter().enumerate() {
+        // Each job starts cold even when a generator repeats one.
+        std::fs::remove_dir_all(&dir).ok();
+        scenario::reset_cache();
+        let direct = run_schedule(cfg, specs).expect("uncached run");
+        let want = (artifact(cfg, specs, &direct), sim_perf(&direct));
+        for (temp, hit) in [("cold", false), ("memo-warm", true), ("disk-warm", true)] {
+            if temp == "disk-warm" {
+                scenario::reset_cache();
+            }
+            let (h0, m0) = scenario::cache_stats();
+            let out = run_scenario(cfg, specs).expect("cached run");
+            let (h1, m1) = scenario::cache_stats();
+            assert_eq!(
+                (h1 - h0, m1 - m0),
+                (hit as u64, !hit as u64),
+                "job {i} {temp}: hit/miss counts ({what})"
+            );
+            assert_eq!(
+                (artifact(cfg, specs, &out), sim_perf(&out)),
+                want,
+                "job {i} {temp}: artifact bytes or SimPerf diverged ({what})"
+            );
+        }
+        uncached.push(direct);
     }
+    scenario::reset_cache();
+    std::env::remove_var("HQ_RESULTS");
+    std::fs::remove_dir_all(&dir).ok();
+    uncached
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random batches of K jobs across workload size, fault rate and
-    /// recovery policy produce byte-identical artifacts to serial runs.
+    /// Random jobs across workload size, fault rate and recovery
+    /// policy give the same bytes cached and uncached.
     #[test]
-    fn batched_artifacts_match_serial(
+    fn cached_runs_match_uncached(
         lanes in proptest::collection::vec((2u32..5, 0u32..180, 0u8..3, 0u64..1000), 2..5),
     ) {
         let _guard = ENV_LOCK.lock();
@@ -122,105 +142,83 @@ proptest! {
             .iter()
             .map(|&(na, pm, pol, seed)| job_from(na, pm, pol, seed))
             .collect();
-        assert_batch_matches_serial(&jobs, "proptest faults on/off");
+        assert_cached_matches_uncached(&jobs, "proptest faults on/off");
     }
 }
 
-/// The `HQ_AUDIT=1` axis: every lane runs under the online invariant
-/// auditor, batched and serial alike, and the bytes still match.
+/// The `HQ_AUDIT=1` axis and job isolation: a heavily-faulting job
+/// (with recovery re-runs) run between two clean ones must leave the
+/// clean jobs' bytes and `SimPerf` exactly as solo runs made before it
+/// produced them, cached and uncached alike, with and without the
+/// online invariant auditor.
 #[test]
-fn audited_batch_matches_serial() {
-    let _guard = ENV_LOCK.lock();
-    std::env::set_var("HQ_AUDIT", "1");
-    let jobs = vec![
-        job_from(2, 0, 0, 1),
-        job_from(3, 120, 1, 2),
-        job_from(2, 60, 2, 3),
-    ];
-    assert_batch_matches_serial(&jobs, "HQ_AUDIT=1");
-    std::env::remove_var("HQ_AUDIT");
-}
-
-/// Cold/warm cache axis for the cached batch entry point: a warm lane
-/// is served from the cache without simulating, a cold lane
-/// simulates and is inserted — and every lane's bytes equal the
-/// serial `run_scenario` result regardless of temperature.
-#[test]
-fn batch_cache_integration_per_lane() {
-    let _guard = ENV_LOCK.lock();
-    let dir = std::env::temp_dir().join(format!("hq_batch_cache_{}", std::process::id()));
-    std::env::set_var("HQ_RESULTS", &dir);
-    scenario::reset_cache();
-
-    let jobs = vec![job_from(2, 0, 0, 10), job_from(3, 0, 0, 11), job_from(2, 90, 1, 12)];
-
-    // Warm exactly one lane through the serial cached path.
-    let warm_serial = run_scenario(&jobs[1].0, &jobs[1].1).expect("serial warm-up");
-    let (h0, m0) = scenario::cache_stats();
-
-    // Batch: lane 1 must be a hit (served without simulating), lanes
-    // 0/2 cold misses.
-    let batched = run_scenario_batch_jobs(&jobs);
-    let (h1, m1) = scenario::cache_stats();
-    assert_eq!(h1 - h0, 1, "exactly the warm lane hits");
-    assert_eq!(m1 - m0, 2, "exactly the cold lanes miss");
-    let warm_lane = batched[1].as_ref().expect("warm lane");
-    assert_eq!(
-        artifact(&jobs[1].0, &jobs[1].1, &warm_serial),
-        artifact(&jobs[1].0, &jobs[1].1, warm_lane),
-        "warm lane must replay the cached bytes"
-    );
-
-    // Misses were inserted: a second batch is all hits, no simulation.
-    let again = run_scenario_batch_jobs(&jobs);
-    let (h2, m2) = scenario::cache_stats();
-    assert_eq!(m2, m1, "second batch must not re-simulate");
-    assert_eq!(h2 - h1, jobs.len() as u64, "second batch all hits");
-
-    // And every lane matches the serial cached path byte for byte.
-    for (lane, (cfg, specs)) in jobs.iter().enumerate() {
-        let serial = run_scenario(cfg, specs).expect("serial");
-        let b = again[lane].as_ref().expect("batched lane");
-        assert_eq!(
-            artifact(cfg, specs, &serial),
-            artifact(cfg, specs, b),
-            "lane {lane} cached bytes"
-        );
-    }
-
-    scenario::reset_cache();
-    std::env::remove_var("HQ_RESULTS");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Lane isolation at the harness level: a heavily-faulting lane (with
-/// recovery re-runs) sandwiched between clean lanes must leave the
-/// clean lanes' bytes exactly as their solo serial runs produced them.
-#[test]
-fn faulting_lane_does_not_perturb_clean_siblings() {
+fn faulting_job_between_clean_ones_matches_solo_runs_audited_or_not() {
     let _guard = ENV_LOCK.lock();
     let clean_a = job_from(2, 0, 0, 21);
     let faulty = job_from(3, 400, 1, 22);
     let clean_b = job_from(4, 0, 0, 23);
-    let solo_a = run_schedule(&clean_a.0, &clean_a.1).expect("solo a");
-    let solo_b = run_schedule(&clean_b.0, &clean_b.1).expect("solo b");
+    for audit in [false, true] {
+        if audit {
+            std::env::set_var("HQ_AUDIT", "1");
+        }
+        let what = if audit { "HQ_AUDIT=1" } else { "audit off" };
+        let solo_a = run_schedule(&clean_a.0, &clean_a.1).expect("solo a");
+        let solo_b = run_schedule(&clean_b.0, &clean_b.1).expect("solo b");
+        let outs = assert_cached_matches_uncached(
+            &[clean_a.clone(), faulty.clone(), clean_b.clone()],
+            what,
+        );
+        for ((cfg, specs), solo, out) in
+            [(&clean_a, &solo_a, &outs[0]), (&clean_b, &solo_b, &outs[2])]
+        {
+            assert_eq!(
+                (artifact(cfg, specs, solo), sim_perf(solo)),
+                (artifact(cfg, specs, out), sim_perf(out)),
+                "clean job around the faulty one diverged ({what})"
+            );
+        }
+        std::env::remove_var("HQ_AUDIT");
+    }
+}
 
-    let jobs = vec![clean_a.clone(), faulty, clean_b.clone()];
-    let batched = run_schedule_batch(&jobs);
-    let a = batched[0].as_ref().expect("lane a");
-    let b = batched[2].as_ref().expect("lane b");
-    assert_eq!(
-        artifact(&clean_a.0, &clean_a.1, &solo_a),
-        artifact(&clean_a.0, &clean_a.1, a),
-        "clean lane before the faulty lane"
-    );
-    assert_eq!(
-        artifact(&clean_b.0, &clean_b.1, &solo_b),
-        artifact(&clean_b.0, &clean_b.1, b),
-        "clean lane after the faulty lane"
-    );
-    assert_eq!(sim_perf(&solo_a), sim_perf(a), "clean lane a SimPerf");
-    assert_eq!(sim_perf(&solo_b), sim_perf(b), "clean lane b SimPerf");
+/// The schedule search through the scenario cache (as `ext_autosched`
+/// runs it) returns exactly the uncached search's `SearchResult`.
+#[test]
+fn cached_search_matches_uncached_search() {
+    fn cached(cfg: &RunConfig, specs: &[AppSpec]) -> Result<RunOutcome, SimError> {
+        run_scenario(cfg, specs).map(std::sync::Arc::unwrap_or_clone)
+    }
+    let _guard = ENV_LOCK.lock();
+    let dir = std::env::temp_dir().join(format!("hq_cached_search_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::env::set_var("HQ_RESULTS", &dir);
+    scenario::reset_cache();
+    let cfg = RunConfig::concurrent(4);
+    let kinds = pair_workload(AppKind::Knearest, AppKind::Needle, 6);
+    for objective in [Objective::Makespan, Objective::Energy] {
+        let sched = AutoScheduler {
+            objective,
+            swap_budget: 12,
+            seed: 17,
+        };
+        let direct = sched.optimize(&cfg, &kinds);
+        let via_cache = sched.optimize_with(cached, &cfg, &kinds);
+        assert_eq!(direct.schedule, via_cache.schedule, "{objective:?}");
+        assert_eq!(direct.best_score, via_cache.best_score, "{objective:?}");
+        assert_eq!(
+            direct.canonical_score, via_cache.canonical_score,
+            "{objective:?}"
+        );
+        assert_eq!(direct.evaluations, via_cache.evaluations, "{objective:?}");
+        assert_eq!(
+            artifact(&cfg, &direct.schedule, &direct.outcome),
+            artifact(&cfg, &via_cache.schedule, &via_cache.outcome),
+            "{objective:?}"
+        );
+    }
+    scenario::reset_cache();
+    std::env::remove_var("HQ_RESULTS");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Chaos: batched case execution classifies every case exactly as the

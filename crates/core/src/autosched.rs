@@ -11,8 +11,6 @@
 //! power-management framing.
 
 use crate::harness::{build_schedule, run_schedule, AppSpec, RunConfig, RunOutcome};
-#[cfg(test)]
-use crate::harness::run_schedule_batch;
 use crate::ordering::ScheduleOrder;
 use hq_des::rng::DetRng;
 use hq_gpu::result::SimError;
@@ -23,20 +21,6 @@ use serde::{Deserialize, Serialize};
 /// memoize deterministic runs (e.g. `hq-bench`'s scenario cache) pass
 /// their cached entry point here so repeated candidates cost nothing.
 pub type Runner = fn(&RunConfig, &[AppSpec]) -> Result<RunOutcome, SimError>;
-
-/// Batched counterpart of [`Runner`]: evaluate many candidate
-/// schedules under one config in a single call (back-to-back runs, or
-/// one cache sweep — the scheduler does not care). Must return one
-/// result per input schedule, in order, each identical to what the
-/// serial runner would have produced.
-pub type BatchRunner = fn(&RunConfig, &[Vec<AppSpec>]) -> Vec<Result<RunOutcome, SimError>>;
-
-/// How many speculative hill-climb candidates [`AutoScheduler::optimize_batched`]
-/// evaluates per batch. Everything after the first accepted improvement
-/// in a chunk is discarded (its basis schedule is stale), so a bigger
-/// chunk buys more batching on plateaus and wastes more on improvement
-/// streaks; 8 is comfortably on the plateau side for budgets ~24.
-const SPECULATION_CHUNK: usize = 8;
 
 /// What the scheduler optimizes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -154,114 +138,6 @@ impl AutoScheduler {
             evaluations: evals,
         }
     }
-
-    /// Like [`AutoScheduler::optimize_with`], but candidate evaluations
-    /// go through a [`BatchRunner`] so independent candidates are handed
-    /// over together (a caching runner serves the warm ones from its
-    /// memo before simulating the rest). Returns a `SearchResult`
-    /// identical to the serial search:
-    ///
-    /// - The five canonical seed orders are mutually independent — one
-    ///   batch.
-    /// - Hill-climb `(i, j)` swap draws are outcome-independent (the
-    ///   RNG never observes scores), so the whole draw sequence is
-    ///   known up front. Candidates, however, derive from the *current*
-    ///   best schedule, which changes at every accepted improvement —
-    ///   so candidates are speculated in chunks against the current
-    ///   best, results walked in draw order, and the rest of a chunk
-    ///   discarded at the first acceptance (its basis is stale); the
-    ///   walk then resumes from the draw after the acceptance. Skip
-    ///   rules and evaluation counting replay the serial loop exactly.
-    ///   Discarded speculative runs are not lost when the runner caches
-    ///   (the scenario cache turns a re-derived candidate into a warm
-    ///   hit).
-    pub fn optimize_batched(
-        &self,
-        runner: BatchRunner,
-        cfg: &RunConfig,
-        kinds: &[AppKind],
-    ) -> SearchResult {
-        let mut evals = 0;
-        // Seed: best of the five canonical orders, evaluated as one batch.
-        let orders: Vec<Vec<AppSpec>> = ScheduleOrder::ALL
-            .into_iter()
-            .map(|order| build_schedule(kinds, order, cfg.seed))
-            .collect();
-        let outs = runner(cfg, &orders);
-        let mut best_specs: Option<Vec<AppSpec>> = None;
-        let mut best_out: Option<RunOutcome> = None;
-        let mut best_score = f64::INFINITY;
-        for (specs, out) in orders.into_iter().zip(outs) {
-            let out = out.expect("schedule runs");
-            evals += 1;
-            let s = self.objective.score(&out);
-            if s < best_score {
-                best_score = s;
-                best_specs = Some(specs);
-                best_out = Some(out);
-            }
-        }
-        let canonical_score = best_score;
-        let mut best_specs = best_specs.expect("at least one order evaluated");
-        let mut best_out = best_out.expect("at least one order evaluated");
-
-        let mut rng = DetRng::seed_from_u64(self.seed);
-        let n = best_specs.len();
-        if n >= 2 {
-            let draws: Vec<(usize, usize)> = (0..self.swap_budget)
-                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
-                .collect();
-            let mut next = 0;
-            while next < draws.len() {
-                // Assemble a speculative chunk against the current best.
-                let mut chunk: Vec<Vec<AppSpec>> = Vec::new();
-                let mut chunk_draw: Vec<usize> = Vec::new();
-                let mut t = next;
-                while t < draws.len() && chunk.len() < SPECULATION_CHUNK {
-                    let (i, j) = draws[t];
-                    if i != j && best_specs[i] != best_specs[j] {
-                        let mut cand = best_specs.clone();
-                        cand.swap(i, j);
-                        chunk.push(cand);
-                        chunk_draw.push(t);
-                    }
-                    t += 1;
-                }
-                if chunk.is_empty() {
-                    next = t;
-                    continue;
-                }
-                let outs = runner(cfg, &chunk);
-                let mut accepted: Option<usize> = None;
-                for (ci, out) in outs.into_iter().enumerate() {
-                    let out = out.expect("schedule runs");
-                    evals += 1;
-                    let s = self.objective.score(&out);
-                    if s < best_score {
-                        best_score = s;
-                        best_specs = std::mem::take(&mut chunk[ci]);
-                        best_out = out;
-                        accepted = Some(ci);
-                        break;
-                    }
-                }
-                // On acceptance, everything after that draw — including
-                // skip decisions made while assembling this chunk — was
-                // based on the stale schedule; replay from the next draw.
-                next = match accepted {
-                    Some(ci) => chunk_draw[ci] + 1,
-                    None => t,
-                };
-            }
-        }
-        SearchResult {
-            schedule: best_specs,
-            outcome: best_out,
-            best_score,
-            canonical_score,
-            evaluations: evals,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -295,41 +171,6 @@ mod tests {
         };
         let res = sched.optimize(&cfg, &kinds);
         assert!((res.best_score - res.outcome.energy_j()).abs() < 1e-9);
-    }
-
-    fn batch_runner(cfg: &RunConfig, lanes: &[Vec<AppSpec>]) -> Vec<Result<RunOutcome, SimError>> {
-        let jobs: Vec<(RunConfig, Vec<AppSpec>)> =
-            lanes.iter().map(|l| (cfg.clone(), l.clone())).collect();
-        run_schedule_batch(&jobs)
-    }
-
-    /// The speculative batched search must replay the serial search
-    /// exactly: same best schedule, same scores, same evaluation count.
-    #[test]
-    fn batched_search_matches_serial() {
-        let cfg = RunConfig::concurrent(4);
-        let kinds = pair_workload(AppKind::Knearest, AppKind::Needle, 6);
-        for objective in [Objective::Makespan, Objective::Energy] {
-            let sched = AutoScheduler {
-                objective,
-                swap_budget: 12,
-                seed: 17,
-            };
-            let serial = sched.optimize_with(run_schedule, &cfg, &kinds);
-            let batched = sched.optimize_batched(batch_runner, &cfg, &kinds);
-            assert_eq!(serial.schedule, batched.schedule, "{objective:?}");
-            assert_eq!(serial.best_score, batched.best_score, "{objective:?}");
-            assert_eq!(
-                serial.canonical_score, batched.canonical_score,
-                "{objective:?}"
-            );
-            assert_eq!(serial.evaluations, batched.evaluations, "{objective:?}");
-            assert_eq!(
-                serial.outcome.makespan(),
-                batched.outcome.makespan(),
-                "{objective:?}"
-            );
-        }
     }
 
     #[test]

@@ -287,16 +287,6 @@ fn run_schedule_once(
     })
 }
 
-/// Run many schedules back to back: element-for-element identical to
-/// calling [`run_schedule`] on each job in order. The batch entry
-/// point for callers that hand over several schedules at once (the
-/// batched scheduler search, the scenario cache's cold lanes).
-pub fn run_schedule_batch(jobs: &[(RunConfig, Vec<AppSpec>)]) -> Vec<Result<RunOutcome, SimError>> {
-    jobs.iter()
-        .map(|(cfg, specs)| run_schedule(cfg, specs))
-        .collect()
-}
-
 /// The fault plan a recovery re-run sees: scripted faults are transient
 /// (consumed by the primary attempt) while probabilistic rates keep
 /// applying with a seed re-derived per attempt, so a retry can fail

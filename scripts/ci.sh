@@ -36,12 +36,12 @@
 #      mid-burst, restart with `--recover-only`, and require that the
 #      journal replays the unfinished jobs and every accepted job's
 #      artifact is byte-identical to a direct `run_scenario` rendering,
-#   5b. a serving-throughput gate: a standalone server with batched
+#   5b. a serving-throughput gate: a standalone server with one-job
 #      dispatch and a 200 µs group-commit window serves a warm
 #      8-client loadgen burst; jobs/s-per-core gates against the
 #      committed BENCH_PR9.json (≥2x the PR 6 single-job serving path),
 #      the burst must land strictly under one journal fsync per
-#      accepted job, and a separate --verify burst proves batched-path
+#      accepted job, and a separate --verify burst proves served
 #      artifacts stay byte-identical to direct runs,
 #   6. a fleet failover smoke: start the TCP coordinator with three
 #      supervised worker processes, drive a verified loadgen burst that
@@ -187,7 +187,7 @@ echo "==> service crash-recovery smoke"
 SVC_DIR="$(mktemp -d)"
 SOCK="$SVC_DIR/hq.sock"
 HQ_RESULTS="$SVC_DIR" "$HQ" serve --socket "$SOCK" --workers 1 --queue-depth 16 \
-    --dispatch-batch 8 >"$SVC_DIR/serve.log" 2>&1 &
+    >"$SVC_DIR/serve.log" 2>&1 &
 SRV_PID=$!
 for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.1; done
 [ -S "$SOCK" ] || { echo "FAIL: server never bound $SOCK"; cat "$SVC_DIR/serve.log"; exit 1; }
@@ -254,7 +254,7 @@ printf '%s\n' "$REC2" | grep -q "^recovery: replayed 0 job(s)" \
     || { echo "FAIL: second recovery pass was not idempotent: $REC2"; exit 1; }
 echo "crash recovery replayed $REPLAYED job(s); all burst artifacts byte-identical to direct runs"
 
-echo "==> serving-throughput gate (batched dispatch + group-commit journal)"
+echo "==> serving-throughput gate (one-job dispatch + group-commit journal)"
 fresh_bin hq-bench loadgen
 # The throughput server's journal and artifacts live on tmpfs when the
 # box has one: the CI VM's block device meters fsyncs through a
@@ -267,7 +267,7 @@ fresh_bin hq-bench loadgen
 THR_DIR="$(mktemp -d -p /dev/shm 2>/dev/null || mktemp -d)"
 THR_SOCK="$THR_DIR/hq.sock"
 HQ_RESULTS="$THR_DIR" "$HQ" serve --socket "$THR_SOCK" --workers 2 --queue-depth 64 \
-    --dispatch-batch 8 >"$THR_DIR/serve.log" 2>&1 &
+    >"$THR_DIR/serve.log" 2>&1 &
 THR_PID=$!
 for _ in $(seq 1 100); do [ -S "$THR_SOCK" ] && break; sleep 0.1; done
 [ -S "$THR_SOCK" ] || { echo "FAIL: throughput server never bound $THR_SOCK"; cat "$THR_DIR/serve.log"; exit 1; }
@@ -296,12 +296,12 @@ for attempt in 1 2 3; do
 done
 [ "$THR_OK" = 1 ] || { echo "FAIL: serving throughput gate missed on every attempt"; exit 1; }
 
-# Separate verified burst (unchecked for speed): every artifact served
-# through the batched path must be byte-identical to a direct run —
+# Separate verified burst (unchecked for speed): every artifact the
+# server renders must be byte-identical to a direct run —
 # loadgen exits non-zero on any lost or diverging job.
 HQ_RESULTS="$THR_DIR" target/release/loadgen --socket "$THR_SOCK" \
     --jobs 64 --conns 8 --verify >/dev/null \
-    || { echo "FAIL: batched-path artifacts diverge from direct runs"; exit 1; }
+    || { echo "FAIL: served artifacts diverge from direct runs"; exit 1; }
 
 # Group commit must actually bite under the 8-client burst: strictly
 # fewer than one journal fsync per accepted job.
@@ -322,7 +322,7 @@ FLEET_TMP="$(mktemp -d)"
 FLEET_DIR="$FLEET_TMP/fleet"
 HQ_RESULTS="$FLEET_TMP/coord-results" "$HQ" serve --tcp 127.0.0.1:0 --fleet 3 \
     --fleet-dir "$FLEET_DIR" --heartbeat-ms 100 \
-    --dispatch-batch 8 >"$FLEET_TMP/fleet.log" 2>&1 &
+    >"$FLEET_TMP/fleet.log" 2>&1 &
 FLEET_PID=$!
 for _ in $(seq 1 300); do [ -s "$FLEET_DIR/addr" ] && break; sleep 0.1; done
 [ -s "$FLEET_DIR/addr" ] || { echo "FAIL: coordinator never published its address"; cat "$FLEET_TMP/fleet.log"; exit 1; }
@@ -374,7 +374,7 @@ echo "==> multi-tenant overload gate (flood vs paced, kill -9 mid-backlog)"
 OVL_DIR="$(mktemp -d)"
 OVL_SOCK="$OVL_DIR/hq.sock"
 HQ_RESULTS="$OVL_DIR" "$HQ" serve --socket "$OVL_SOCK" --workers 2 --queue-depth 32 \
-    --tenant-max-queued 4 --dispatch-batch 8 \
+    --tenant-max-queued 4 \
     >"$OVL_DIR/serve.log" 2>&1 &
 OVL_PID=$!
 for _ in $(seq 1 100); do [ -S "$OVL_SOCK" ] && break; sleep 0.1; done

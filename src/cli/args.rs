@@ -26,14 +26,13 @@ USAGE:
                    [--journal PATH] [--artifact-dir DIR] [--recover-only]
                    [--tenant-max-queued N] [--tenant-max-inflight N]
                    [--tenant-rate R] [--tenant-burst B] [--drr-quantum N]
-                   [--brownout-threshold F] [--dispatch-batch K]
-                   [--commit-window-us US]
+                   [--brownout-threshold F] [--commit-window-us US]
   hyperq serve     --tcp ADDR --fleet N [--fleet-dir DIR] [--queue-depth N]
                    [--workers N] [--heartbeat-ms MS] [--max-restarts K]
                    [--breaker-threshold K] [--breaker-cooldown-ms MS]
                    [--tenant-max-queued N] [--tenant-max-inflight N]
                    [--tenant-rate R] [--brownout-threshold F]
-                   [--dispatch-batch K] [--commit-window-us US]
+                   [--commit-window-us US]
   hyperq submit    --socket PATH|--tcp ADDR --workload SPEC [--streams N]
                    [--order ORDER] [--memsync MODE] [--serial] [--seed N]
                    [--device DEV] [--deadline-ms N] [--class NAME] [--panic]
@@ -200,9 +199,6 @@ pub struct Cli {
     pub drr_quantum: u32,
     /// Brownout utilization threshold (`serve --brownout-threshold`, 0 = off).
     pub brownout_threshold: f64,
-    /// Jobs a worker drains per wakeup and runs one after another
-    /// (`serve --dispatch-batch`, 1 = solo dispatch).
-    pub dispatch_batch: usize,
     /// Group-commit window in µs (`serve --commit-window-us`), held
     /// open only while accepts arrive closer together than it
     /// (0 = never linger).
@@ -282,7 +278,6 @@ impl Default for Cli {
             tenant_burst: 0.0,
             drr_quantum: 1,
             brownout_threshold: 0.0,
-            dispatch_batch: 8,
             commit_window_us: 200,
             journal_file: None,
             repair: false,
@@ -561,14 +556,6 @@ pub fn parse_args(args: Vec<String>) -> Result<Cli, String> {
                     .map_err(|_| "--drr-quantum needs an integer".to_string())?;
                 if cli.drr_quantum == 0 || cli.drr_quantum > 64 {
                     return Err("--drr-quantum must be in 1..=64".into());
-                }
-            }
-            "--dispatch-batch" => {
-                cli.dispatch_batch = value(&mut it, "--dispatch-batch")?
-                    .parse()
-                    .map_err(|_| "--dispatch-batch needs an integer".to_string())?;
-                if cli.dispatch_batch == 0 || cli.dispatch_batch > 64 {
-                    return Err("--dispatch-batch must be in 1..=64".into());
                 }
             }
             "--commit-window-us" => {
@@ -898,21 +885,18 @@ mod tests {
 
     #[test]
     fn serve_batch_and_commit_window_flags_parse_and_validate() {
-        let cli = parse_args(argv(
-            "serve --socket s --dispatch-batch 16 --commit-window-us 500",
-        ))
-        .unwrap();
-        assert_eq!(cli.dispatch_batch, 16);
+        let cli = parse_args(argv("serve --socket s --commit-window-us 500")).unwrap();
         assert_eq!(cli.commit_window_us, 500);
         // 0 disables group commit (synchronous fsync per accept).
         let cli = parse_args(argv("serve --socket s --commit-window-us 0")).unwrap();
         assert_eq!(cli.commit_window_us, 0);
-        // Defaults: batched dispatch and a small window are on.
+        // Default: a small window is on.
         let cli = parse_args(argv("serve --socket s")).unwrap();
-        assert_eq!(cli.dispatch_batch, 8);
         assert_eq!(cli.commit_window_us, 200);
-        assert!(parse_args(argv("serve --socket s --dispatch-batch 0")).is_err());
-        assert!(parse_args(argv("serve --socket s --dispatch-batch 65")).is_err());
+        // Workers pop one job per wakeup; the old batch-size flag is
+        // gone and rejected like any unknown flag.
+        let err = parse_args(argv("serve --socket s --dispatch-batch 8")).err();
+        assert_eq!(err.as_deref(), Some("unknown flag '--dispatch-batch'"));
         assert!(parse_args(argv("serve --socket s --commit-window-us 1000001")).is_err());
         assert!(parse_args(argv("serve --socket s --commit-window-us lots")).is_err());
     }

@@ -358,7 +358,6 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
         opts.tenant_max_inflight = cli.tenant_max_inflight;
         opts.tenant_rate = cli.tenant_rate;
         opts.brownout_threshold = cli.brownout_threshold;
-        opts.dispatch_batch = cli.dispatch_batch;
         opts.commit_window_us = cli.commit_window_us;
         hq_bench::service::fleet::serve_fleet(opts)?;
         return Ok("fleet drained and stopped".to_string());
@@ -375,7 +374,6 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
     opts.tenant_burst = cli.tenant_burst;
     opts.drr_quantum = cli.drr_quantum;
     opts.brownout_threshold = cli.brownout_threshold;
-    opts.dispatch_batch = cli.dispatch_batch;
     opts.commit_window_us = cli.commit_window_us;
     if let Some(journal) = &cli.journal {
         opts.journal = journal.into();

@@ -988,12 +988,11 @@ fn kill_nine_inside_commit_window_never_acked_the_lost_record() {
     );
 }
 
-/// Satellite: batched dispatch preserves the tenancy contract. Two
-/// tenants with eight queued jobs each and `tenant_max_inflight 2`
-/// drain through one worker with `dispatch_batch 8`: every wakeup
-/// takes at most two jobs per tenant (four per batch, in DRR order),
-/// both tenants finish fully served, and every artifact is
-/// byte-identical to the single-job `run_job_direct` path.
+/// Dispatch preserves the tenancy contract. Two tenants with eight
+/// queued jobs each and `tenant_max_inflight 2` drain through one
+/// worker: every wakeup pops one job in DRR order, both tenants finish
+/// fully served, and every artifact is byte-identical to the
+/// single-job `run_job_direct` path.
 #[test]
 fn batched_dispatch_respects_drr_and_inflight_caps_with_identical_artifacts() {
     let _env = env_lock();
@@ -1001,7 +1000,6 @@ fn batched_dispatch_respects_drr_and_inflight_caps_with_identical_artifacts() {
     let mut opts = dirs.opts();
     opts.workers = 1;
     opts.queue_depth = 64;
-    opts.dispatch_batch = 8;
     opts.tenant_max_inflight = 2;
     opts.commit_window_us = 0; // synchronous accepts for pre-queueing
     let socket = opts.socket.clone();
@@ -1039,12 +1037,10 @@ fn batched_dispatch_respects_drr_and_inflight_caps_with_identical_artifacts() {
 
     match client.call(&Request::Status).expect("status") {
         Response::Status(s) => {
-            assert_eq!(s.dispatched_jobs, 16, "all jobs flow through batched dispatch");
-            // The inflight cap bounds every batch at two jobs per
-            // tenant, so the 16-job backlog takes exactly four 4-job
-            // dispatches: fewer would mean the cap was ignored, more
-            // would mean batching never engaged.
-            assert_eq!(s.dispatches, 4, "expected four capped 4-job batches");
+            // One job per wakeup: the 16-job backlog takes exactly
+            // 16 dispatches.
+            assert_eq!(s.dispatches, 16, "one dispatch per job");
+            assert_eq!(s.dispatched_jobs, s.dispatches, "every dispatch carries one job");
             for tenant in ["alpha", "beta"] {
                 let t = s
                     .tenants
@@ -1083,6 +1079,64 @@ fn batched_dispatch_respects_drr_and_inflight_caps_with_identical_artifacts() {
 /// Satellite: a frame whose length header exceeds `MAX_FRAME` is
 /// bounced with a framed error *before* any allocation, over a real
 /// socket; the connection then closes without taking the server down.
+/// No false serialization in the server itself: with two workers, one
+/// heavy job queued ahead of three light ones, the light jobs all
+/// finish on the free worker while the heavy one is still running.
+/// A worker that drained the whole queue in one wakeup would hold the
+/// light jobs behind the heavy one.
+#[test]
+fn short_jobs_are_not_held_behind_a_long_one() {
+    let _env = env_lock();
+    let dirs = TestDirs::new("no-false-serialization");
+    let mut opts = dirs.opts();
+    opts.workers = 2;
+    opts.commit_window_us = 0; // synchronous accepts for pre-queueing
+    let socket = opts.socket.clone();
+    let (server, _) = Server::new(opts).expect("server");
+    let submit = |s: JobSpec| match server.handle(Request::Submit(s)) {
+        Response::Accepted(id) => id,
+        other => panic!("expected accepted, got {other:?}"),
+    };
+
+    // Queue everything before any worker exists: the heavy job first.
+    let heavy = submit(JobSpec {
+        workload: [vec![AppKind::Gaussian; 6], vec![AppKind::Srad; 6]].concat(),
+        streams: 16,
+        seed: 9100,
+        ..JobSpec::default()
+    });
+    let light: Vec<u64> = (0..3).map(|i| submit(spec(9200 + i))).collect();
+
+    let runner = {
+        let server = std::sync::Arc::clone(&server);
+        std::thread::spawn(move || server.run())
+    };
+    let mut client = connect_with_retry(&socket);
+    for id in &light {
+        match client.call(&Request::Wait(*id)).expect("wait") {
+            Response::Done(_, JobDone::Ok { .. }) => {}
+            other => panic!("light job {id} failed: {other:?}"),
+        }
+    }
+    match client.call(&Request::Status).expect("status") {
+        Response::Status(s) => {
+            assert_eq!(s.completed, 3, "only the light jobs are done: {s:?}");
+            assert_eq!(s.running, 1, "the heavy job is still running: {s:?}");
+        }
+        other => panic!("expected status, got {other:?}"),
+    }
+    match client.call(&Request::Wait(heavy)).expect("wait") {
+        Response::Done(_, JobDone::Ok { .. }) => {}
+        other => panic!("heavy job failed: {other:?}"),
+    }
+
+    match client.call(&Request::Shutdown).expect("shutdown") {
+        Response::Bye { .. } => {}
+        other => panic!("expected bye, got {other:?}"),
+    }
+    runner.join().expect("runner join").expect("run ok");
+}
+
 #[test]
 fn oversized_frame_is_rejected_without_allocation_over_socket() {
     use std::io::Write;
