@@ -13,7 +13,11 @@
 //! untouched. A deliberate model change updates the table: a failing
 //! run prints the rows it computed in the table's own syntax.
 
+use hq_bench::chaos::{self, Chaos};
 use hq_bench::scenario::encode_outcome;
+use hq_bench::soak::Soak;
+use hq_bench::torture;
+use hyperq_repro::des::rng::DetRng;
 use hyperq_repro::des::time::Dur;
 use hyperq_repro::gpu::config::DeviceConfig;
 use hyperq_repro::gpu::fault::{FaultKind, FaultPlan};
@@ -154,4 +158,61 @@ fn the_fault_scenario_exercises_hangs_aborts_and_retries() {
     assert!(f.watchdog_kills > 0, "{name}: no hang was killed: {f:?}");
     assert!(f.kernel_faults > 0, "{name}: no kernel aborted: {f:?}");
     assert!(out.retries > 0, "{name}: nothing was retried");
+}
+
+/// One pinned JSON document set: name and the FNV-1a digest of the
+/// documents' bytes, concatenated in generation order.
+const DOC_PINS: &[(&str, u64)] = &[
+    ("chaos-42x50", 0xe6838704d2d930c5),
+    ("chaos-7x200", 0x0325605aa14ac6ea),
+    ("torture-11x20", 0x66232cb0f4f6aff9),
+    ("chrome-cold-seed-7", 0xe477889d5dc49364),
+];
+
+/// Chaos repros of `n` cases drawn from `seed`, each followed by the
+/// repros of its shrink candidates (which cover empty fault lists).
+fn chaos_repros(seed: u64, n: usize) -> String {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut out = String::new();
+    for _ in 0..n {
+        let case = chaos::gen_case(&mut rng);
+        out.push_str(&chaos::case_to_json(&case));
+        for cand in Chaos::candidates(&case) {
+            out.push_str(&chaos::case_to_json(&cand));
+        }
+    }
+    out
+}
+
+fn torture_repros(seed: u64, n: usize) -> String {
+    let mut rng = DetRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| torture::case_to_json(&torture::gen_case(&mut rng)))
+        .collect()
+}
+
+/// The Chrome trace of a traced `serve_cold`-mix run.
+fn cold_chrome_trace() -> String {
+    let cfg = RunConfig::concurrent(8).with_trace(true).with_seed(7);
+    let specs = build_schedule(&COLD_MIX, cfg.order, cfg.seed);
+    let out = run_schedule(&cfg, &specs).expect("traced run");
+    out.result.trace.to_chrome_json()
+}
+
+#[test]
+fn json_documents_match_their_pins() {
+    let got = [
+        ("chaos-42x50", fnv1a(chaos_repros(42, 50).as_bytes())),
+        ("chaos-7x200", fnv1a(chaos_repros(7, 200).as_bytes())),
+        ("torture-11x20", fnv1a(torture_repros(11, 20).as_bytes())),
+        ("chrome-cold-seed-7", fnv1a(cold_chrome_trace().as_bytes())),
+    ];
+    let table: String = got
+        .iter()
+        .map(|(n, d)| format!("    (\"{n}\", 0x{d:016x}),\n"))
+        .collect();
+    assert!(
+        got.as_slice() == DOC_PINS,
+        "JSON documents drifted from the pins; computed:\n{table}"
+    );
 }
