@@ -24,6 +24,7 @@
 
 use hq_bench::service::{run_job_direct, Client, JobDone, JobSpec, Reject, Request, Response};
 use hq_bench::util::codec::json_f64;
+use hq_des::json::Json;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -361,35 +362,30 @@ fn main() {
             _ => None,
         })
         .unwrap_or_default();
-    let batch_occupancy = if status.dispatches > 0 {
-        status.dispatched_jobs as f64 / status.dispatches as f64
-    } else {
-        0.0
-    };
     let fsyncs_per_accept = if status.accepts > 0 {
         status.fsyncs as f64 / status.accepts as f64
     } else {
         0.0
     };
-    let report = format!(
-        "{{\n  \"jobs\": {},\n  \"completed\": {},\n  \"failures\": {failures},\n  \
-         \"retries\": {retries},\n  \"shed\": {shed},\n  \"wall_secs\": {wall:.3},\n  \
-         \"jobs_per_sec\": {jobs_per_sec:.3},\n  \"jobs_per_sec_per_core\": {:.3},\n  \
-         \"p50_ms\": {:.3},\n  \"p99_ms\": {:.3},\n  \
-         \"batch_occupancy\": {batch_occupancy:.3},\n  \
-         \"fsyncs_per_accept\": {fsyncs_per_accept:.3},\n  \
-         \"window_flushes\": {},\n  \"solo_flushes\": {},\n  \
-         \"cache_corrupt\": {},\n  \"dedup_hits\": {}\n}}\n",
-        o.jobs,
-        latencies.len(),
-        jobs_per_sec / cores,
-        percentile(&latencies, 50.0),
-        percentile(&latencies, 99.0),
-        status.window_flushes,
-        status.solo_flushes,
-        status.cache_corrupt,
-        status.dedup_hits,
-    );
+    let fixed3 = |x: f64| Json::Fixed(x, 3);
+    let report = Json::obj([
+        ("jobs", (o.jobs as u64).into()),
+        ("completed", (latencies.len() as u64).into()),
+        ("failures", failures.into()),
+        ("retries", retries.into()),
+        ("shed", shed.into()),
+        ("wall_secs", fixed3(wall)),
+        ("jobs_per_sec", fixed3(jobs_per_sec)),
+        ("jobs_per_sec_per_core", fixed3(jobs_per_sec / cores)),
+        ("p50_ms", fixed3(percentile(&latencies, 50.0))),
+        ("p99_ms", fixed3(percentile(&latencies, 99.0))),
+        ("fsyncs_per_accept", fixed3(fsyncs_per_accept)),
+        ("window_flushes", status.window_flushes.into()),
+        ("solo_flushes", status.solo_flushes.into()),
+        ("cache_corrupt", status.cache_corrupt.into()),
+        ("dedup_hits", status.dedup_hits.into()),
+    ])
+    .pretty();
     print!("{report}");
     if let Some(path) = &o.json {
         if let Err(e) = std::fs::write(path, &report) {

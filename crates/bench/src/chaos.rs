@@ -20,11 +20,11 @@
 //! field (they predate it).
 
 use crate::soak::{guarded, Outcome, OutcomeOf, Soak, REPRO_VERSION};
-use crate::util::codec::{esc_json, fnv1a, Json};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+use hq_des::json::Json;
 use hq_des::rng::DetRng;
 use hq_des::time::Dur;
 use hq_gpu::prelude::*;
@@ -37,7 +37,7 @@ use hq_gpu::validate::validate;
 /// One kernel launch in a chaos case. Sizes are chosen so any kernel
 /// fits the Kepler per-SMX limits and one block always completes well
 /// inside a watchdog window.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct KernelSpec {
     /// Thread blocks (1..=64).
     pub blocks: u32,
@@ -52,7 +52,7 @@ pub struct KernelSpec {
 }
 
 /// One application (host thread) in a chaos case.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct AppSpec {
     /// Stream index this app issues to (sharing allowed).
     pub stream: u32,
@@ -69,7 +69,7 @@ pub struct AppSpec {
 }
 
 /// One scripted fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ScriptedFault {
     /// Fault class.
     pub kind: FaultKind,
@@ -82,7 +82,7 @@ pub struct ScriptedFault {
 /// A fully self-describing chaos case. Every field round-trips through
 /// the JSON repro format exactly (rates are per-mille integers for that
 /// reason).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CaseSpec {
     /// Simulation RNG seed.
     pub seed: u64,
@@ -126,14 +126,6 @@ impl CaseSpec {
                 .faults
                 .iter()
                 .any(|f| f.kind == FaultKind::KernelHang)
-    }
-
-    /// True when any fault at all can occur.
-    pub fn faults_possible(&self) -> bool {
-        !self.faults.is_empty()
-            || self.copy_fail_pm > 0
-            || self.kernel_fault_pm > 0
-            || self.kernel_hang_pm > 0
     }
 }
 
@@ -388,12 +380,11 @@ fn classify(run: Result<SimResult, SimError>) -> CaseOutcome {
 // Per-case outcome memo (batched execution)
 // ---------------------------------------------------------------------
 
-/// Per-case outcome memo keyed by the case's canonical JSON rendering
-/// ([`case_to_json`] — fully self-describing, so equal JSON ⇔ equal
-/// trajectory). Outcomes are tiny (an events count or a failure
+/// Per-case outcome memo keyed by the case itself (fully
+/// self-describing, so equal cases ⇔ equal trajectories). Outcomes are tiny (an events count or a failure
 /// string), so the memo stays cheap across hundreds of thousands of
 /// cases. Honors `HQ_SCENARIO_CACHE=off|0` like the scenario cache.
-type CaseMemo = Mutex<HashMap<u64, (String, CaseOutcome)>>;
+type CaseMemo = Mutex<HashMap<CaseSpec, CaseOutcome>>;
 
 fn case_memo() -> &'static CaseMemo {
     static MEMO: OnceLock<CaseMemo> = OnceLock::new();
@@ -455,65 +446,51 @@ fn fault_kind_from_str(s: &str) -> Result<FaultKind, String> {
 
 /// Serialize a case (with format version) into a pretty JSON repro.
 pub fn case_to_json(spec: &CaseSpec) -> String {
-    let mut s = String::with_capacity(1024);
-    s.push_str("{\n");
-    s.push_str(&format!("  \"version\": {},\n", REPRO_VERSION));
-    s.push_str(&format!("  \"seed\": {},\n", spec.seed));
-    s.push_str(&format!("  \"num_smx\": {},\n", spec.num_smx));
-    s.push_str(&format!("  \"hw_queues\": {},\n", spec.hw_queues));
-    s.push_str(&format!(
-        "  \"conservative_fit\": {},\n",
-        spec.conservative_fit
-    ));
-    s.push_str(&format!("  \"issue_order\": {},\n", spec.issue_order));
-    s.push_str(&format!("  \"chunk_kb\": {},\n", spec.chunk_kb));
-    s.push_str(&format!("  \"stagger_us\": {},\n", spec.stagger_us));
-    s.push_str(&format!("  \"jitter_ns\": {},\n", spec.jitter_ns));
-    s.push_str(&format!("  \"watchdog_us\": {},\n", spec.watchdog_us));
-    s.push_str("  \"apps\": [\n");
-    for (i, a) in spec.apps.iter().enumerate() {
-        s.push_str("    {");
-        s.push_str(&format!(
-            "\"stream\": {}, \"htod_kb\": {}, \"dtoh_kb\": {}, \"use_mutex\": {}, \"mutex_sync\": {}, ",
-            a.stream, a.htod_kb, a.dtoh_kb, a.use_mutex, a.mutex_sync
-        ));
-        s.push_str("\"kernels\": [");
-        for (j, k) in a.kernels.iter().enumerate() {
-            s.push_str(&format!(
-                "{{\"blocks\": {}, \"tpb\": {}, \"work_us\": {}, \"smem_kb\": {}, \"regs\": {}}}",
-                k.blocks, k.tpb, k.work_us, k.smem_kb, k.regs
-            ));
-            if j + 1 < a.kernels.len() {
-                s.push_str(", ");
-            }
-        }
-        s.push_str("]}");
-        if i + 1 < spec.apps.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"faults\": [\n");
-    for (i, f) in spec.faults.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"kind\": \"{}\", \"app\": {}, \"nth\": {}}}",
-            esc_json(&f.kind.to_string()),
-            f.app,
-            f.nth
-        ));
-        if i + 1 < spec.faults.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!("  \"copy_fail_pm\": {},\n", spec.copy_fail_pm));
-    s.push_str(&format!("  \"kernel_fault_pm\": {},\n", spec.kernel_fault_pm));
-    s.push_str(&format!("  \"kernel_hang_pm\": {},\n", spec.kernel_hang_pm));
-    s.push_str(&format!("  \"fault_seed\": {}\n", spec.fault_seed));
-    s.push_str("}\n");
-    s
+    let apps = spec.apps.iter().map(|a| {
+        let kernels = a.kernels.iter().map(|k| {
+            Json::obj([
+                ("blocks", k.blocks.into()),
+                ("tpb", k.tpb.into()),
+                ("work_us", k.work_us.into()),
+                ("smem_kb", k.smem_kb.into()),
+                ("regs", k.regs.into()),
+            ])
+        });
+        Json::obj([
+            ("stream", a.stream.into()),
+            ("htod_kb", a.htod_kb.into()),
+            ("dtoh_kb", a.dtoh_kb.into()),
+            ("use_mutex", a.use_mutex.into()),
+            ("mutex_sync", a.mutex_sync.into()),
+            ("kernels", Json::Arr(kernels.collect())),
+        ])
+    });
+    let faults = spec.faults.iter().map(|f| {
+        Json::obj([
+            ("kind", f.kind.to_string().into()),
+            ("app", f.app.into()),
+            ("nth", f.nth.into()),
+        ])
+    });
+    Json::obj([
+        ("version", REPRO_VERSION.into()),
+        ("seed", spec.seed.into()),
+        ("num_smx", spec.num_smx.into()),
+        ("hw_queues", spec.hw_queues.into()),
+        ("conservative_fit", spec.conservative_fit.into()),
+        ("issue_order", spec.issue_order.into()),
+        ("chunk_kb", spec.chunk_kb.into()),
+        ("stagger_us", spec.stagger_us.into()),
+        ("jitter_ns", spec.jitter_ns.into()),
+        ("watchdog_us", spec.watchdog_us.into()),
+        ("apps", Json::Arr(apps.collect())),
+        ("faults", Json::Arr(faults.collect())),
+        ("copy_fail_pm", spec.copy_fail_pm.into()),
+        ("kernel_fault_pm", spec.kernel_fault_pm.into()),
+        ("kernel_hang_pm", spec.kernel_hang_pm.into()),
+        ("fault_seed", spec.fault_seed.into()),
+    ])
+    .pretty()
 }
 
 // ---------------------------------------------------------------------
@@ -552,20 +529,14 @@ impl Soak for Chaos {
         specs
             .iter()
             .map(|spec| {
-                let pre = case_to_json(spec);
-                let key = fnv1a(pre.as_bytes());
-                let hit = case_memo()
-                    .lock()
-                    .get(&key)
-                    .filter(|(stored, _)| *stored == pre)
-                    .map(|(_, out)| out.clone());
+                let hit = case_memo().lock().get(spec).cloned();
                 if let Some(out) = hit {
                     CASE_HITS.fetch_add(1, Ordering::Relaxed);
                     return out;
                 }
                 CASE_MISSES.fetch_add(1, Ordering::Relaxed);
                 let out = Chaos::run(spec);
-                case_memo().lock().insert(key, (pre, out.clone()));
+                case_memo().lock().insert(spec.clone(), out.clone());
                 out
             })
             .collect()

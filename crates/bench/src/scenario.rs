@@ -517,8 +517,9 @@ pub fn verify_cache_entry(text: &str, expect_key: Option<u64>) -> Result<(), Str
 // ---------------------------------------------------------------------
 // On-disk encoding.
 //
-// The vendored serde_json shim cannot serialize nested structs, so
-// entries use a hand-rolled line-oriented text format: a header with
+// Entry bytes are pinned: the golden digests in `tests/golden.rs`
+// hash them, and entries already on disk must keep decoding. So
+// entries use a line-oriented text format rather than JSON: a header with
 // the format version, the escaped key preimage (verified on load), and
 // one section per `RunOutcome` component. Floats are rendered with
 // `{:?}` (Rust's shortest round-trip representation) and times as

@@ -1,9 +1,10 @@
 //! Wire protocol for the scenario service: length-prefixed frames over
 //! a Unix-domain socket carrying one-line requests and responses.
 //!
-//! The vendored `serde_json` shim cannot round-trip nested structures,
-//! so the protocol reuses the crate's hand-rolled line codec
-//! ([`crate::util::codec`]): every payload is a single line of
+//! The grammar is pinned by wire compatibility (a fleet coordinator,
+//! its shard workers and every client must agree on every byte), so
+//! the protocol is the crate's line codec
+//! ([`crate::util::codec`]), not JSON: every payload is a single line of
 //! space-separated tokens whose string-valued fields are percent-escaped
 //! with [`esc`]. A frame is
 //!

@@ -21,8 +21,9 @@
 
 use crate::chaos::Chaos;
 use crate::torture::Torture;
-use crate::util::codec::{fnv1a, parse_json, Json};
+use crate::util::codec::fnv1a;
 use crate::util::write_atomic;
+use hq_des::json::{parse_json, Json};
 use hq_des::rng::DetRng;
 use std::fmt::{Debug, Display};
 use std::ops::AddAssign;
@@ -308,7 +309,12 @@ mod tests {
             (*case > 0).then(|| case - 1).into_iter().collect()
         }
         fn to_json(case: &u64) -> String {
-            format!("{{\"version\": 1, \"kind\": \"toy\", \"n\": {case}}}\n")
+            Json::obj([
+                ("version", 1u64.into()),
+                ("kind", "toy".into()),
+                ("n", (*case).into()),
+            ])
+            .pretty()
         }
         fn from_json(root: &Json) -> Result<u64, String> {
             root.num("n")

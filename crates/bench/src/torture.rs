@@ -47,8 +47,8 @@ use crate::service::{
     Client, JobSpec, Journal, NetFaultPlan, Reject, Request, Response, ServeOptions, Server,
 };
 use crate::soak::{guarded, Outcome, OutcomeOf, Soak, REPRO_VERSION};
-use crate::util::codec::Json;
 use crate::util::io::{self, IoFaultPlan};
+use hq_des::json::Json;
 use hq_des::rng::DetRng;
 use hq_workloads::apps::AppKind;
 use std::collections::HashSet;
@@ -96,11 +96,6 @@ impl TortureCase {
     /// True when any client-side network fault can fire.
     pub fn net_faults_possible(&self) -> bool {
         self.disconnect_pm > 0 || self.trickle_pm > 0 || self.lost_ack_pm > 0
-    }
-
-    /// Total jobs the burst submits.
-    pub fn total_jobs(&self) -> u64 {
-        self.tenants as u64 * self.jobs_per_tenant as u64
     }
 }
 
@@ -605,28 +600,25 @@ fn run_case(case: &TortureCase) -> TortureOutcome {
 // JSON repro layout
 // ---------------------------------------------------------------------
 
-/// Serialize a case into a flat JSON repro (hand-rolled, like the
-/// chaos repro writer, because the vendored `serde_json` shim cannot
-/// round-trip structures).
+/// Serialize a case into a flat JSON repro.
 pub fn case_to_json(case: &TortureCase) -> String {
-    let mut s = String::with_capacity(512);
-    s.push_str("{\n");
-    s.push_str(&format!("  \"version\": {REPRO_VERSION},\n"));
-    s.push_str("  \"kind\": \"torture\",\n");
-    s.push_str(&format!("  \"seed\": {},\n", case.seed));
-    s.push_str(&format!("  \"tenants\": {},\n", case.tenants));
-    s.push_str(&format!("  \"jobs_per_tenant\": {},\n", case.jobs_per_tenant));
-    s.push_str(&format!("  \"short_write_pm\": {},\n", case.short_write_pm));
-    s.push_str(&format!("  \"eintr_pm\": {},\n", case.eintr_pm));
-    s.push_str(&format!("  \"fsync_eio_pm\": {},\n", case.fsync_eio_pm));
-    s.push_str(&format!("  \"enospc_pm\": {},\n", case.enospc_pm));
-    s.push_str(&format!("  \"torn_rename_pm\": {},\n", case.torn_rename_pm));
-    s.push_str(&format!("  \"bitflip_pm\": {},\n", case.bitflip_pm));
-    s.push_str(&format!("  \"disconnect_pm\": {},\n", case.disconnect_pm));
-    s.push_str(&format!("  \"trickle_pm\": {},\n", case.trickle_pm));
-    s.push_str(&format!("  \"lost_ack_pm\": {}\n", case.lost_ack_pm));
-    s.push_str("}\n");
-    s
+    Json::obj([
+        ("version", REPRO_VERSION.into()),
+        ("kind", "torture".into()),
+        ("seed", case.seed.into()),
+        ("tenants", case.tenants.into()),
+        ("jobs_per_tenant", case.jobs_per_tenant.into()),
+        ("short_write_pm", case.short_write_pm.into()),
+        ("eintr_pm", case.eintr_pm.into()),
+        ("fsync_eio_pm", case.fsync_eio_pm.into()),
+        ("enospc_pm", case.enospc_pm.into()),
+        ("torn_rename_pm", case.torn_rename_pm.into()),
+        ("bitflip_pm", case.bitflip_pm.into()),
+        ("disconnect_pm", case.disconnect_pm.into()),
+        ("trickle_pm", case.trickle_pm.into()),
+        ("lost_ack_pm", case.lost_ack_pm.into()),
+    ])
+    .pretty()
 }
 
 // ---------------------------------------------------------------------
@@ -752,7 +744,8 @@ mod tests {
         let case = gen_case(&mut rng);
         for cand in Torture::candidates(&case) {
             assert_ne!(cand, case);
-            assert!(cand.total_jobs() <= case.total_jobs());
+            let jobs = |c: &TortureCase| c.tenants * c.jobs_per_tenant;
+            assert!(jobs(&cand) <= jobs(&case));
         }
         // A fully minimal case has no candidates left.
         let minimal = TortureCase {

@@ -1,19 +1,21 @@
-//! Shared hand-rolled codec helpers.
+//! Line-format codec helpers: the content hash, token escaping and the
+//! tag-checked line cursor.
 //!
-//! The vendored `serde_json` shim cannot round-trip nested structures,
-//! so every persistent artifact in this crate is written with a small
-//! hand-rolled encoding. Before this module existed the same three
-//! building blocks were re-implemented in each call site; they now live
-//! here once and are shared by:
+//! The scenario cache, the service journal and the wire protocol are
+//! line formats, not JSON: their bytes are pinned by wire compatibility
+//! with deployed peers and by golden digests, so they keep their own
+//! small encoding. The building blocks live here once and are shared
+//! by:
 //!
 //! * the scenario-cache entries ([`crate::scenario`]) — percent
 //!   escaping + the tag-checked line [`Cursor`],
-//! * the soak repro files ([`crate::soak`]) — the minimal [`Json`]
-//!   value and [`parse_json`] parser plus [`esc_json`],
-//! * the perf baseline (`perf_baseline` binary) — the flat
-//!   [`json_f64`] field extractor,
-//! * the service write-ahead journal ([`crate::service`]) — escaping,
-//!   the line [`Cursor`] and [`fnv1a`] line checksums.
+//! * the service write-ahead journal and wire protocol
+//!   ([`crate::service`]) — escaping, the line [`Cursor`] and [`fnv1a`]
+//!   line checksums,
+//! * the perf baseline and `loadgen --check` — the flat [`json_f64`]
+//!   field extractor.
+//!
+//! JSON documents are written and parsed by [`hq_des::json`].
 //!
 //! Everything here is total: malformed input decodes to `None`/`Err`,
 //! never a panic, because every consumer treats a failed decode as
@@ -103,246 +105,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON (writer escape + value + parser), shared by the chaos
-// repro format and any other hand-rolled JSON artifact.
-// ---------------------------------------------------------------------
-
-/// Escape a string for embedding inside a hand-rolled JSON string
-/// literal (backslash and double quote).
-pub fn esc_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Minimal JSON value: unsigned integers, booleans, strings, arrays and
-/// objects — exactly the subset the hand-rolled writers emit.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// Unsigned integer.
-    Num(u64),
-    /// Boolean.
-    Bool(bool),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object (insertion-ordered key/value pairs).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Required numeric field.
-    pub fn num(&self, key: &str) -> Result<u64, String> {
-        match self.get(key) {
-            Some(Json::Num(n)) => Ok(*n),
-            _ => Err(format!("missing or non-numeric field '{key}'")),
-        }
-    }
-
-    /// Required numeric field that must fit `T`: an out-of-range value
-    /// is an error, never a silent truncation.
-    pub fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
-        let v = self.num(key)?;
-        T::try_from(v).map_err(|_| format!("field '{key}' out of range: {v}"))
-    }
-
-    /// Required boolean field.
-    pub fn boolean(&self, key: &str) -> Result<bool, String> {
-        match self.get(key) {
-            Some(Json::Bool(b)) => Ok(*b),
-            _ => Err(format!("missing or non-boolean field '{key}'")),
-        }
-    }
-
-    /// Required array field.
-    pub fn arr<'a>(&'a self, key: &str) -> Result<&'a [Json], String> {
-        match self.get(key) {
-            Some(Json::Arr(items)) => Ok(items),
-            _ => Err(format!("missing or non-array field '{key}'")),
-        }
-    }
-
-    /// Required string field.
-    pub fn str_field<'a>(&'a self, key: &str) -> Result<&'a str, String> {
-        match self.get(key) {
-            Some(Json::Str(s)) => Ok(s),
-            _ => Err(format!("missing or non-string field '{key}'")),
-        }
-    }
-}
-
-/// Parse a JSON document into a [`Json`] value. The whole input must be
-/// one value plus optional trailing whitespace. Errors are structured
-/// strings ("expected ',' or '}' ..."), never panics — truncating the
-/// input at any byte yields `Err`, not undefined behaviour.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    if let Some(c) = p.peek() {
-        return Err(format!(
-            "trailing garbage '{}' at byte {} after JSON value",
-            c as char, p.pos
-        ));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {} of JSON input",
-                c as char, self.pos
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') | Some(b'f') => self.boolean(),
-            Some(c) if c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected token {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.bytes.get(self.pos) {
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'n' => '\n',
-                        other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                    });
-                }
-                other => out.push(other as char),
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit())
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<u64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number '{text}': {e}"))
-    }
-
-    fn boolean(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let rest = &self.bytes[self.pos..];
-        if rest.starts_with(b"true") {
-            self.pos += 4;
-            Ok(Json::Bool(true))
-        } else if rest.starts_with(b"false") {
-            self.pos += 5;
-            Ok(Json::Bool(false))
-        } else {
-            Err(format!("expected boolean at byte {}", self.pos))
-        }
-    }
-}
-
 /// Extract `"key": <number>` from a flat JSON text (keys must be unique
 /// across the whole document). The perf-baseline check reads its saved
 /// measurement files with this instead of a full parse.
@@ -385,30 +147,6 @@ mod tests {
         assert!(c.line().is_none());
         let mut c = Cursor::new("wrong 1\n");
         assert!(c.tagged_u64("count").is_none());
-    }
-
-    #[test]
-    fn json_parses_and_rejects() {
-        let v = parse_json("{\"a\": 1, \"b\": [true, \"x\"], \"c\": {\"d\": 2}}").unwrap();
-        assert_eq!(v.num("a"), Ok(1));
-        assert_eq!(v.arr("b").unwrap().len(), 2);
-        assert_eq!(v.get("c").unwrap().num("d"), Ok(2));
-        assert!(parse_json("").is_err());
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("[1, 2").is_err());
-    }
-
-    #[test]
-    fn json_every_prefix_is_a_clean_error() {
-        let doc = "{\"k\": [1, {\"s\": \"a\\\"b\", \"t\": true}], \"n\": 42}";
-        for cut in 0..doc.len() {
-            if !doc.is_char_boundary(cut) {
-                continue;
-            }
-            // Must return (Ok for the full doc, Err for prefixes), never panic.
-            let _ = parse_json(&doc[..cut]);
-        }
-        assert!(parse_json(doc).is_ok());
     }
 
     #[test]

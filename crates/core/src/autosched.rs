@@ -15,7 +15,6 @@ use crate::ordering::ScheduleOrder;
 use hq_des::rng::DetRng;
 use hq_gpu::result::SimError;
 use hq_workloads::apps::AppKind;
-use serde::{Deserialize, Serialize};
 
 /// How the search evaluates one candidate schedule. Callers that
 /// memoize deterministic runs (e.g. `hq-bench`'s scenario cache) pass
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 pub type Runner = fn(&RunConfig, &[AppSpec]) -> Result<RunOutcome, SimError>;
 
 /// What the scheduler optimizes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Objective {
     /// Minimize workload makespan (throughput).
     Makespan,

@@ -14,11 +14,10 @@ use hq_des::time::{Dur, SimTime};
 use hq_gpu::prelude::*;
 use hq_power::{PowerModel, PowerMonitor, PowerReport};
 use hq_workloads::apps::AppKind;
-use serde::{Deserialize, Serialize};
 
 /// Memory-synchronization technique selection (mutex ids are created
 /// internally by the harness).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MemsyncMode {
     /// Default CUDA behaviour.
     Off,
@@ -31,7 +30,7 @@ pub enum MemsyncMode {
 
 /// What the harness does about applications that fail from injected
 /// faults (see [`FaultPlan`]).
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub enum RecoveryPolicy {
     /// Report failures as-is; the workload's other applications still
     /// run to completion.

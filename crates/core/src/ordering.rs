@@ -8,10 +8,9 @@
 //! for different application pairings (Figs. 7/8).
 
 use hq_des::rng::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// The five scheduling techniques of Fig. 3.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ScheduleOrder {
     /// (a) applications queued type by type, first-in first-out.
     NaiveFifo,

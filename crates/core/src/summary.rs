@@ -1,16 +1,16 @@
-//! Serializable run summaries.
+//! Run summaries: the JSON document `hyperq run --json` writes.
 //!
-//! [`RunSummary`] is the stable JSON schema experiment artifacts use:
-//! everything a plotting script or regression checker needs, without
-//! the full trace payload.
+//! [`RunSummary`] holds everything a plotting script or regression
+//! checker needs from one run (makespan, energy, power, per-app
+//! effective transfer latency Le), without the full trace payload.
 
 use crate::harness::RunOutcome;
+use hq_des::json::Json;
 use hq_gpu::prelude::{AppOutcome, FaultCounters};
 use hq_gpu::types::Dir;
-use serde::{Deserialize, Serialize};
 
 /// Per-application summary row.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AppSummary {
     /// Application label (`gaussian#3`).
     pub label: String,
@@ -33,7 +33,7 @@ pub struct AppSummary {
 }
 
 /// Whole-run summary (the JSON artifact schema).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunSummary {
     /// Launch order used.
     pub schedule: Vec<String>,
@@ -102,14 +102,63 @@ impl From<&RunOutcome> for RunSummary {
 }
 
 impl RunSummary {
-    /// Serialize to pretty JSON.
+    /// The summary as a pretty JSON document, one key per field.
+    /// Floats are written shortest round-trip, so they parse back
+    /// bit-equal; an absent Le is `null`; an app's outcome is
+    /// `{"kind": "completed" | "failed" | "retried"}` plus `"reason"`
+    /// (the fault kind) or `"attempts"`.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("summary serializes")
-    }
-
-    /// Parse from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+        let f = &self.faults;
+        let faults = Json::obj([
+            ("copy_faults", f.copy_faults.into()),
+            ("kernel_faults", f.kernel_faults.into()),
+            ("watchdog_kills", f.watchdog_kills.into()),
+            ("watchdog_rearms", f.watchdog_rearms.into()),
+            ("ops_errored", f.ops_errored.into()),
+            ("forced_mutex_releases", f.forced_mutex_releases.into()),
+            ("leaked_residency", f.leaked_residency.into()),
+            ("held_mutexes", f.held_mutexes.into()),
+        ]);
+        let apps = self.apps.iter().map(|a| {
+            let outcome = match a.outcome {
+                AppOutcome::Completed => Json::obj([("kind", "completed".into())]),
+                AppOutcome::Failed { reason } => Json::obj([
+                    ("kind", "failed".into()),
+                    ("reason", reason.to_string().into()),
+                ]),
+                AppOutcome::Retried { attempts } => {
+                    Json::obj([("kind", "retried".into()), ("attempts", attempts.into())])
+                }
+            };
+            Json::obj([
+                ("label", a.label.as_str().into()),
+                ("turnaround_ns", a.turnaround_ns.into()),
+                ("le_htod_ns", a.le_htod_ns.into()),
+                ("le_dtoh_ns", a.le_dtoh_ns.into()),
+                ("kernels", a.kernels.into()),
+                ("htod_bytes", a.htod_bytes.into()),
+                ("dtoh_bytes", a.dtoh_bytes.into()),
+                ("outcome", outcome),
+                ("faults", a.faults.into()),
+            ])
+        });
+        Json::obj([
+            (
+                "schedule",
+                Json::Arr(self.schedule.iter().map(|s| s.as_str().into()).collect()),
+            ),
+            ("makespan_ns", self.makespan_ns.into()),
+            ("energy_j", self.energy_j.into()),
+            ("avg_power_w", self.avg_power_w.into()),
+            ("peak_power_w", self.peak_power_w.into()),
+            ("mean_occupancy", self.mean_occupancy.into()),
+            ("faults", faults),
+            ("retries", self.retries.into()),
+            ("degraded", self.degraded.into()),
+            ("events", self.events.into()),
+            ("apps", Json::Arr(apps.collect())),
+        ])
+        .pretty()
     }
 }
 
@@ -117,21 +166,28 @@ impl RunSummary {
 mod tests {
     use super::*;
     use crate::harness::{pair_workload, run_workload, RunConfig};
+    use hq_des::json::parse_json;
     use hq_workloads::apps::AppKind;
 
     #[test]
-    fn summary_roundtrips_through_json() {
+    fn summary_writes_outcomes_and_missing_le() {
         let kinds = pair_workload(AppKind::Knearest, AppKind::Needle, 2);
         let out = run_workload(&RunConfig::concurrent(2), &kinds).unwrap();
-        let summary = RunSummary::from(&out);
-        assert_eq!(summary.apps.len(), 2);
-        assert!(summary.makespan_ns > 0);
-        assert!(summary.energy_j > 0.0);
-        assert!(summary.mean_occupancy > 0.0);
-        assert!(summary.events > 0);
-        let json = summary.to_json();
-        let back = RunSummary::from_json(&json).unwrap();
-        assert_eq!(summary, back);
+        let mut summary = RunSummary::from(&out);
+        assert!(summary.makespan_ns > 0 && summary.energy_j > 0.0 && summary.events > 0);
+        summary.apps[0].le_dtoh_ns = None;
+        summary.apps[0].outcome = AppOutcome::Failed {
+            reason: hq_gpu::fault::FaultKind::KernelHang,
+        };
+        summary.apps[1].outcome = AppOutcome::Retried { attempts: 2 };
+        let doc = parse_json(&summary.to_json()).unwrap();
+        let apps = doc.arr("apps").unwrap();
+        assert_eq!(apps[0].get("le_dtoh_ns"), Some(&Json::Null));
+        let outcome = |i: usize| apps[i].get("outcome").unwrap().clone();
+        assert_eq!(outcome(0).str_field("kind"), Ok("failed"));
+        assert_eq!(outcome(0).str_field("reason"), Ok("kernel-hang"));
+        assert_eq!(outcome(1).num("attempts"), Ok(2));
+        assert_eq!(doc.get("faults").unwrap().num("watchdog_kills"), Ok(0));
     }
 
     #[test]

@@ -84,16 +84,6 @@ impl QueueStats {
     pub fn tombstone_ratio(&self) -> f64 {
         self.peak_tombstone_ratio
     }
-
-    /// Fraction of all scheduled events that were eventually cancelled
-    /// (a lifetime total, *not* the in-heap bound the purge enforces).
-    pub fn cancelled_fraction(&self) -> f64 {
-        if self.scheduled == 0 {
-            0.0
-        } else {
-            self.cancelled as f64 / self.scheduled as f64
-        }
-    }
 }
 
 /// Grow-on-demand bit set indexed by event sequence number.
@@ -568,13 +558,10 @@ mod tests {
         assert_eq!(s.cancelled, 2);
         assert_eq!(s.stale_cancels, 1);
         assert_eq!(s.peak_pending, 8);
-        // Two of eight scheduled events were cancelled over the queue's
-        // lifetime; both tombstones sat in the full 8-entry heap, so the
-        // peak in-heap fraction is 2/8 as well.
-        assert!((s.cancelled_fraction() - 0.25).abs() < 1e-12);
+        // Both cancelled events' tombstones sat in the full 8-entry
+        // heap, so the peak in-heap fraction is 2/8.
         assert!((s.tombstone_ratio() - 0.25).abs() < 1e-12);
         assert_eq!(QueueStats::default().tombstone_ratio(), 0.0);
-        assert_eq!(QueueStats::default().cancelled_fraction(), 0.0);
     }
 
     /// The amortized purge fires as soon as tombstones exceed ⅓ of the
@@ -599,10 +586,10 @@ mod tests {
             pending.push(q.schedule_at(SimTime::from_ns(200 + tick), step));
         }
         let s = q.stats();
+        let cancelled_fraction = s.cancelled as f64 / s.scheduled as f64;
         assert!(
-            s.cancelled_fraction() > 0.45,
-            "churn workload must actually cancel heavily: {}",
-            s.cancelled_fraction()
+            cancelled_fraction > 0.45,
+            "churn workload must actually cancel heavily: {cancelled_fraction}"
         );
         assert!(
             s.tombstone_ratio() <= 1.0 / 3.0 + 1e-12,

@@ -11,7 +11,8 @@
 //!   simulation run is exactly reproducible,
 //! * [`stats`] — online statistics, histograms and percentile summaries,
 //! * [`trace`] — span traces with an ASCII Gantt renderer (used to
-//!   regenerate the paper's Visual-Profiler-style timeline figures), and
+//!   regenerate the paper's Visual-Profiler-style timeline figures),
+//! * [`json`] — the workspace's one JSON value, writer and parser, and
 //! * [`record`] — time-weighted series recorders (utilization, power).
 //!
 //! The toolkit deliberately has no opinion about *what* is being
@@ -29,9 +30,9 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod engine;
 pub mod intern;
+pub mod json;
 pub mod observe;
 pub mod record;
 pub mod rng;

@@ -18,8 +18,6 @@ use std::collections::VecDeque;
 pub struct TransitionRing {
     cap: usize,
     buf: VecDeque<(SimTime, String)>,
-    /// Total notes ever pushed (including evicted ones).
-    total: u64,
 }
 
 impl TransitionRing {
@@ -28,13 +26,11 @@ impl TransitionRing {
         TransitionRing {
             cap,
             buf: VecDeque::with_capacity(cap),
-            total: 0,
         }
     }
 
     /// Record a transition, evicting the oldest note when full.
     pub fn push(&mut self, at: SimTime, note: String) {
-        self.total += 1;
         if self.cap == 0 {
             return;
         }
@@ -57,11 +53,6 @@ impl TransitionRing {
     /// True when nothing is retained.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// Total notes ever pushed, including those already evicted.
-    pub fn total_pushed(&self) -> u64 {
-        self.total
     }
 
     /// Render the retained notes as `"[time] note"` lines, oldest first.
@@ -88,17 +79,15 @@ mod tests {
             r.push(t(i), format!("n{i}"));
         }
         assert_eq!(r.len(), 3);
-        assert_eq!(r.total_pushed(), 10);
         let notes: Vec<&str> = r.iter().map(|(_, n)| n.as_str()).collect();
         assert_eq!(notes, vec!["n7", "n8", "n9"]);
     }
 
     #[test]
-    fn zero_capacity_records_nothing_but_counts() {
+    fn zero_capacity_records_nothing() {
         let mut r = TransitionRing::new(0);
         r.push(t(1), "x".into());
         assert!(r.is_empty());
-        assert_eq!(r.total_pushed(), 1);
         assert!(r.render().is_empty());
     }
 

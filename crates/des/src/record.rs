@@ -6,7 +6,6 @@
 //! energy (`E = ∫ P dt`, paper §V-D) and time-weighted utilization.
 
 use crate::time::{Dur, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A right-continuous step function sampled at change points.
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// next change. Updates must be in non-decreasing time order; equal
 /// timestamps overwrite (the last write wins), matching how a DES
 /// processes several state changes at one instant.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
@@ -146,7 +145,7 @@ impl TimeSeries {
 /// Tracks a busy/idle indicator and reports the busy fraction.
 ///
 /// Used for DMA-engine and SMX utilization accounting.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Utilization {
     series: TimeSeries,
     busy_since: Option<SimTime>,
@@ -185,11 +184,6 @@ impl Utilization {
     /// Total busy time accumulated in `[a, b]`.
     pub fn busy_time(&self, a: SimTime, b: SimTime) -> Dur {
         Dur::from_secs_f64(self.series.integrate(a, b))
-    }
-
-    /// Whether currently busy.
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
     }
 
     /// The underlying 0/1 step function (for power models that need the
@@ -301,6 +295,5 @@ mod tests {
         let f = u.busy_fraction(t(0), t(1000));
         assert!((f - 0.5).abs() < 1e-9, "got {f}");
         assert_eq!(u.busy_time(t(0), t(1000)).as_ns(), 500);
-        assert!(!u.is_busy());
     }
 }

@@ -47,11 +47,6 @@ impl DetRng {
         self.inner.gen_range(range)
     }
 
-    /// A uniform `f64` in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
-    }
-
     /// A Bernoulli trial with probability `p` (clamped to `[0,1]`).
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.inner.gen_bool(p.clamp(0.0, 1.0))

@@ -5,10 +5,8 @@
 //! log-bucketed histogram for latency distributions, and exact
 //! percentiles for the (small) per-figure summaries.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable online mean/variance/min/max (Welford's method).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -62,11 +60,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -106,7 +99,7 @@ impl OnlineStats {
 /// Log₂-bucketed histogram for positive values (latency distributions).
 ///
 /// Bucket `i` covers `[2^i, 2^(i+1))`; values below 1 land in bucket 0.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
     buckets: Vec<u64>,
     total: u64,
@@ -164,15 +157,6 @@ impl Histogram {
         }
         Some(u64::MAX)
     }
-
-    /// Non-empty `(bucket_lower_bound, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << (i - 1) }, c))
-    }
 }
 
 /// Exact percentile of a data set (sorts a copy; fine for report-sized
@@ -211,7 +195,7 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
+        assert!((s.variance().sqrt() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
         assert!((s.sum() - 40.0).abs() < 1e-9);
@@ -264,15 +248,6 @@ mod tests {
         assert!((3..8).contains(&q50), "median bucket edge, got {q50}");
         assert!(h.quantile(1.0).unwrap() >= 1_000_000);
         assert_eq!(Histogram::new().quantile(0.5), None);
-    }
-
-    #[test]
-    fn histogram_nonzero_buckets_ascending() {
-        let mut h = Histogram::new();
-        h.record(1);
-        h.record(16);
-        let b: Vec<_> = h.nonzero_buckets().collect();
-        assert_eq!(b, vec![(1, 1), (16, 1)]);
     }
 
     #[test]

@@ -6,16 +6,15 @@
 //! whole workloads are seconds, all well inside `u64` range
 //! (~584 years).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// An instant in simulated time (nanoseconds since simulation start).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time (nanoseconds).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dur(pub u64);
 
 impl SimTime {
@@ -47,12 +46,6 @@ impl SimTime {
     #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Microseconds since simulation start, as a float (for reporting only).
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     /// Duration elapsed since `earlier`. Saturates at zero if `earlier`
@@ -137,12 +130,6 @@ impl Dur {
         self.0 as f64 / 1e6
     }
 
-    /// Microseconds as a float (reporting only).
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// True if this duration is zero.
     #[inline]
     pub const fn is_zero(self) -> bool {
@@ -163,13 +150,6 @@ impl Dur {
             return Dur::ZERO;
         }
         Dur((self.0 as f64 * k).round() as u64)
-    }
-
-    /// Integer division of durations (how many `rhs` fit in `self`).
-    #[inline]
-    pub fn div_dur(self, rhs: Dur) -> u64 {
-        debug_assert!(rhs.0 > 0, "division by zero duration");
-        self.0 / rhs.0
     }
 
     /// The larger of two durations.

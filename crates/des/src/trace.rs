@@ -7,14 +7,14 @@
 //! it as text so the figures can be regenerated in a terminal or diffed
 //! in CI.
 
+use crate::json::Json;
 use crate::time::{Dur, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// What kind of operation a span represents (controls the glyph used by
 /// the Gantt renderer, mirroring the paper's dark/light shading).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SpanKind {
     /// Host-to-device DMA transfer (dark boxes in the paper's figures).
     CopyHtoD,
@@ -39,7 +39,7 @@ impl SpanKind {
 }
 
 /// One completed operation on one lane (stream) of the timeline.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Span {
     /// Lane index (CUDA stream id in the GPU model).
     pub lane: u32,
@@ -61,7 +61,7 @@ impl Span {
 }
 
 /// A collection of spans, appendable in any order.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TraceLog {
     spans: Vec<Span>,
     enabled: bool,
@@ -208,29 +208,24 @@ impl TraceLog {
     /// renders as its own row — the closest interactive equivalent to
     /// the paper's Visual Profiler timelines.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        let events = self.spans.iter().map(|s| {
             let cat = match s.kind {
                 SpanKind::CopyHtoD => "memcpy_htod",
                 SpanKind::CopyDtoH => "memcpy_dtoh",
                 SpanKind::Kernel => "kernel",
                 SpanKind::Host => "host",
             };
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{}}}",
-                s.label.replace('"', "'"),
-                cat,
-                s.start.as_ns() as f64 / 1e3,
-                s.dur().as_ns() as f64 / 1e3,
-                s.lane
-            );
-        }
-        out.push(']');
-        out
+            Json::obj([
+                ("name", s.label.as_str().into()),
+                ("cat", cat.into()),
+                ("ph", "X".into()),
+                ("ts", (s.start.as_ns() as f64 / 1e3).into()),
+                ("dur", (s.dur().as_ns() as f64 / 1e3).into()),
+                ("pid", 0u32.into()),
+                ("tid", s.lane.into()),
+            ])
+        });
+        Json::Arr(events.collect()).compact()
     }
 }
 
@@ -324,12 +319,15 @@ mod chrome_tests {
             SimTime::from_ns(3_500),
         );
         let json = log.to_chrome_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"tid\":2"));
-        assert!(json.contains("\"ts\":1"), "microsecond timestamps");
-        assert!(json.contains("\"dur\":2.5"));
-        assert!(!json.contains("Fan\"2\""), "quotes escaped");
+        assert_eq!(
+            json,
+            "[{\"name\":\"Fan\\\"2\\\"\",\"cat\":\"kernel\",\"ph\":\"X\",\"ts\":1,\"dur\":2.5,\"pid\":0,\"tid\":2}]"
+        );
+        let events = crate::json::parse_json(&json).unwrap();
+        let Json::Arr(events) = events else {
+            panic!("not an array: {json}")
+        };
+        assert_eq!(events[0].str_field("name"), Ok("Fan\"2\""));
     }
 
     #[test]

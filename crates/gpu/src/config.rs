@@ -7,10 +7,9 @@
 //! microsecond-scale per-call overhead.
 
 use hq_des::time::Dur;
-use serde::{Deserialize, Serialize};
 
 /// Per-SMX residency limits and issue capacity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SmxLimits {
     /// Maximum resident thread blocks (16 on CC 3.5).
     pub max_blocks: u32,
@@ -43,7 +42,7 @@ impl SmxLimits {
 }
 
 /// How the grid management unit admits concurrent grids.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// The paper's approach (§III-A): rely on the hardware thread-block
     /// scheduler's LEFTOVER policy. Grids dispatch blocks in arrival
@@ -59,7 +58,7 @@ pub enum AdmissionPolicy {
 }
 
 /// How the copy queue arbitrates among pending transfers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServiceOrder {
     /// Round-robin across streams with pending transfers (the behaviour
     /// the paper observed and illustrates in Fig. 1: *"control of the
@@ -71,7 +70,7 @@ pub enum ServiceOrder {
 }
 
 /// DMA engine parameters (one engine per direction on Kepler).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DmaConfig {
     /// Fixed per-transfer setup latency. Below ~8 KB a transfer is
     /// latency-dominated (paper §III-B, ref [16]).
@@ -106,7 +105,7 @@ impl DmaConfig {
 }
 
 /// Full device model configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeviceConfig {
     /// Human-readable device name.
     pub name: String,
@@ -181,7 +180,7 @@ impl DeviceConfig {
 }
 
 /// Host-side timing parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HostConfig {
     /// Time a host thread spends in each driver API call before the
     /// operation is enqueued (and before the thread can issue the next
@@ -283,12 +282,5 @@ mod tests {
             assert!(t >= prev);
             prev = t;
         }
-    }
-
-    #[test]
-    fn config_serializes() {
-        let cfg = DeviceConfig::tesla_k20();
-        let json = serde_json::to_string(&cfg);
-        assert!(json.is_ok());
     }
 }

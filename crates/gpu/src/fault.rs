@@ -38,10 +38,9 @@
 
 use crate::types::AppId;
 use hq_des::rng::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// The kinds of injected faults.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FaultKind {
     /// A DMA transfer fails after the engine latency.
     CopyFail,
@@ -64,7 +63,7 @@ impl std::fmt::Display for FaultKind {
 /// A scripted fault: the `nth` (0-based) operation of the matching kind
 /// issued by `app` fails. Copy specs count memcpys; kernel/hang specs
 /// count kernel launches.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FaultSpec {
     /// What goes wrong.
     pub kind: FaultKind,
@@ -75,7 +74,7 @@ pub struct FaultSpec {
 }
 
 /// Per-operation fault probabilities.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct FaultRates {
     /// Probability that any given copy fails.
     pub copy_fail: f64,
@@ -93,7 +92,7 @@ impl FaultRates {
 }
 
 /// A complete, deterministic fault plan for one simulation run.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FaultPlan {
     /// Scripted faults (exact operation targeting).
     pub scripted: Vec<FaultSpec>,

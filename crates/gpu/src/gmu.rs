@@ -23,7 +23,6 @@ use crate::kernel::KernelInfo;
 use crate::types::{GridId, OpId, StreamId};
 use hq_des::engine::EventId;
 use hq_des::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Lifecycle of a launched grid.
@@ -91,7 +90,7 @@ impl Grid {
 
 /// Aggregate resource totals used by the conservative-fit admission
 /// policy ("sum total of resource requests", paper §II).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResourceTotals {
     /// Total thread blocks.
     pub blocks: u64,
@@ -226,11 +225,6 @@ impl Gmu {
     /// Grid accessor.
     pub fn grid(&self, id: GridId) -> &Grid {
         &self.grids[id.index()]
-    }
-
-    /// Mutable grid accessor.
-    pub fn grid_mut(&mut self, id: GridId) -> &mut Grid {
-        &mut self.grids[id.index()]
     }
 }
 

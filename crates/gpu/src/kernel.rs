@@ -2,10 +2,9 @@
 
 use hq_des::intern::{Interner, Symbol};
 use hq_des::time::Dur;
-use serde::{Deserialize, Serialize};
 
 /// A CUDA-style 3-component launch dimension.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     /// X extent (≥ 1).
     pub x: u32,
@@ -50,7 +49,7 @@ impl From<(u32, u32)> for Dim3 {
 /// `work_per_block` is the time one thread block takes when its warps
 /// progress at full issue rate; the SMX processor-sharing model
 /// stretches it when resident warps exceed the SMX issue capacity.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KernelDesc {
     /// Kernel name (as it would appear in a profiler timeline).
     pub name: String,

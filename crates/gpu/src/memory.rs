@@ -8,15 +8,14 @@
 //! users who want to model allocation churn or fragmentation.
 
 use crate::types::AppId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A device pointer: byte offset into global memory.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct DevicePtr(pub u64);
 
 /// Allocation failure reasons.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AllocError {
     /// Not enough contiguous free memory (CUDA's
     /// `cudaErrorMemoryAllocation`).

@@ -11,10 +11,9 @@ use crate::kernel::{KernelDesc, KernelInfo};
 use crate::types::{Dir, MutexId};
 use hq_des::intern::{Interner, Symbol};
 use hq_des::time::Dur;
-use serde::{Deserialize, Serialize};
 
 /// One host-side operation (one CUDA runtime call or host action).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum HostOp {
     /// `cudaMemcpyAsync` on the application's stream.
     MemcpyAsync {
@@ -46,7 +45,7 @@ pub enum HostOp {
 }
 
 /// A complete application program plus bookkeeping metadata.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Program {
     /// Application label (e.g. `gaussian#3`).
     pub label: String,
@@ -255,11 +254,6 @@ impl ProgramBuilder {
         if !matches!(self.program.ops.last(), Some(HostOp::StreamSync)) {
             self.program.ops.push(HostOp::StreamSync);
         }
-        self.program
-    }
-
-    /// Finish without appending a trailing sync (tests / special cases).
-    pub fn build_unsynced(self) -> Program {
         self.program
     }
 }

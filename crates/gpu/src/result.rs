@@ -6,10 +6,9 @@ use crate::types::{AppId, Dir, StreamId};
 use hq_des::record::TimeSeries;
 use hq_des::time::{Dur, SimTime};
 use hq_des::trace::TraceLog;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated statistics for one transfer direction of one application.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TransferStats {
     /// Number of memcpy operations.
     pub count: u32,
@@ -48,7 +47,7 @@ impl TransferStats {
 }
 
 /// Terminal status of one application.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum AppOutcome {
     /// Every device operation completed normally.
     #[default]
@@ -75,7 +74,7 @@ impl AppOutcome {
 }
 
 /// Run-wide reliability counters (all zero for fault-free runs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Injected DMA copy failures.
     pub copy_faults: u32,
@@ -118,7 +117,7 @@ impl FaultCounters {
 }
 
 /// Per-application results.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AppStats {
     /// Application id (host thread).
     pub app: AppId,
@@ -201,7 +200,7 @@ impl AppStats {
 }
 
 /// Errors a simulation run can report instead of panicking.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SimError {
     /// Sum of application device allocations exceeds device memory.
     DeviceMemoryExceeded {
@@ -277,7 +276,7 @@ impl std::error::Error for SimError {}
 /// *nondeterministic* (they measure the host machine, not the simulated
 /// device) and must never feed back into simulated results; every
 /// other field is a deterministic function of the run.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SimPerf {
     /// Discrete events delivered by the future-event list.
     pub events: u64,

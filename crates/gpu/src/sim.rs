@@ -267,11 +267,6 @@ impl GpuSim {
         self.threads[app.index()].start_after = Some(dep);
     }
 
-    /// Number of applications added so far.
-    pub fn app_count(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Run to completion.
     pub fn run(mut self) -> Result<SimResult, SimError> {
         self.begin()?;

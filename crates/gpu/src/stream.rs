@@ -63,11 +63,6 @@ impl Stream {
         self.queue.len()
     }
 
-    /// Total ops ever enqueued (the threshold captured by a sync).
-    pub fn enqueued_count(&self) -> u64 {
-        self.enqueued
-    }
-
     /// Total ops completed.
     pub fn completed_count(&self) -> u64 {
         self.completed

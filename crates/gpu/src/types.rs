@@ -1,11 +1,10 @@
 //! Shared identifier newtypes for the device model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Transfer direction. Kepler-class devices have one DMA engine per
 /// direction, so this also indexes the copy engines.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Dir {
     /// Host to device.
     HtoD,
@@ -38,7 +37,7 @@ impl fmt::Display for Dir {
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
         pub struct $name(pub u32);
 
         impl $name {

@@ -12,10 +12,9 @@
 use hq_des::record::TimeSeries;
 use hq_des::time::{Dur, SimTime};
 use hq_gpu::result::SimResult;
-use serde::{Deserialize, Serialize};
 
 /// Board power model parameters (Watts).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PowerModel {
     /// Idle board power with clocks parked.
     pub p_idle: f64,
@@ -150,12 +149,6 @@ impl PowerModel {
             out.set(t, p);
         }
         out
-    }
-
-    /// Total energy of the run in Joules (`∫ P dt` over the makespan).
-    pub fn energy_joules(&self, result: &SimResult) -> f64 {
-        self.power_series(result)
-            .integrate(SimTime::ZERO, result.makespan)
     }
 }
 

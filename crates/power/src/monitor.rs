@@ -12,7 +12,6 @@ use crate::model::PowerModel;
 use hq_des::record::TimeSeries;
 use hq_des::time::{Dur, SimTime};
 use hq_gpu::result::SimResult;
-use serde::{Deserialize, Serialize};
 
 /// Polling power monitor.
 #[derive(Clone, Copy, Debug)]
@@ -69,7 +68,7 @@ impl PowerMonitor {
 }
 
 /// Aggregated power/energy measurement of one run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PowerReport {
     /// `(instant, Watts)` sensor samples.
     pub samples: Vec<(SimTime, f64)>,
@@ -85,14 +84,6 @@ pub struct PowerReport {
     pub duration: Dur,
     /// The full power step function (for plotting Figures 9/10).
     pub series: TimeSeries,
-}
-
-impl PowerReport {
-    /// Energy in Joules computed from the sampled trace (rectangle
-    /// rule), as a measurement-fidelity check against `energy_j`.
-    pub fn sampled_energy_j(&self, period: Dur) -> f64 {
-        self.samples.iter().map(|&(_, p)| p).sum::<f64>() * period.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +129,9 @@ mod tests {
         let period = Dur::from_us(100); // oversample hard
         let mon = PowerMonitor::with_period(PowerModel::tesla_k20(), period);
         let rep = mon.measure(&r);
-        let rel = (rep.sampled_energy_j(period) - rep.energy_j).abs() / rep.energy_j;
+        // Rectangle rule over the sampled trace.
+        let sampled: f64 = rep.samples.iter().map(|&(_, p)| p).sum::<f64>() * period.as_secs_f64();
+        let rel = (sampled - rep.energy_j).abs() / rep.energy_j;
         assert!(rel < 0.05, "sampled vs true energy off by {rel}");
     }
 

@@ -3,11 +3,10 @@
 
 use crate::{gaussian, knearest, needle, srad};
 use hq_gpu::program::Program;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the four ported Rodinia benchmarks (Table I).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AppKind {
     /// Gaussian Elimination (`gaussian`).
     Gaussian,

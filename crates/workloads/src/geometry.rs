@@ -7,10 +7,9 @@
 
 use crate::{gaussian, knearest, needle, srad};
 use hq_gpu::kernel::KernelDesc;
-use serde::{Deserialize, Serialize};
 
 /// One row of the paper's Table III.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GeometryRow {
     /// Application name.
     pub application: &'static str,

@@ -466,14 +466,9 @@ fn cmd_submit(cli: &Cli) -> Result<String, String> {
                         s.open_circuits.join(", ")
                     }
                 );
-                let occupancy = if s.dispatches > 0 {
-                    s.dispatched_jobs as f64 / s.dispatches as f64
-                } else {
-                    0.0
-                };
                 out.push_str(&format!(
-                    "\nbatch: dispatches {} jobs {} occupancy {:.2}",
-                    s.dispatches, s.dispatched_jobs, occupancy
+                    "\nbatch: dispatches {} jobs {}",
+                    s.dispatches, s.dispatched_jobs
                 ));
                 let per_accept = if s.accepts > 0 {
                     s.fsyncs as f64 / s.accepts as f64

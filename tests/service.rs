@@ -988,17 +988,19 @@ fn kill_nine_inside_commit_window_never_acked_the_lost_record() {
     );
 }
 
-/// Dispatch preserves the tenancy contract. Two tenants with eight
-/// queued jobs each and `tenant_max_inflight 2` drain through one
-/// worker: every wakeup pops one job in DRR order, both tenants finish
-/// fully served, and every artifact is byte-identical to the
-/// single-job `run_job_direct` path.
+/// Dispatch preserves the tenancy contract under `tenant_max_inflight
+/// 2` with three workers, so the cap can bind: `alpha` queues six
+/// multi-second jobs and `beta` two, and once `beta` is drained three
+/// idle workers face `alpha`'s backlog. Status polls while the queue
+/// drains never see a tenant with more than two jobs running, and do
+/// see two. Both tenants finish fully served in DRR order, and every
+/// artifact is byte-identical to the single-job `run_job_direct` path.
 #[test]
-fn batched_dispatch_respects_drr_and_inflight_caps_with_identical_artifacts() {
+fn dispatch_respects_drr_and_inflight_caps_with_identical_artifacts() {
     let _env = env_lock();
-    let dirs = TestDirs::new("batch-drr");
+    let dirs = TestDirs::new("drr-caps");
     let mut opts = dirs.opts();
-    opts.workers = 1;
+    opts.workers = 3;
     opts.queue_depth = 64;
     opts.tenant_max_inflight = 2;
     opts.commit_window_us = 0; // synchronous accepts for pre-queueing
@@ -1009,10 +1011,12 @@ fn batched_dispatch_respects_drr_and_inflight_caps_with_identical_artifacts() {
     // Pre-queue everything before any worker exists, so the first
     // drain faces the full two-tenant backlog.
     let mut ids: Vec<(u64, JobSpec)> = Vec::new();
-    for i in 0..8u64 {
-        for tenant in ["alpha", "beta"] {
+    for (tenant, jobs) in [("alpha", 6u64), ("beta", 2)] {
+        for i in 0..jobs {
             let s = JobSpec {
                 tenant: tenant.to_string(),
+                workload: [vec![AppKind::Gaussian; 3], vec![AppKind::Srad; 3]].concat(),
+                streams: 8,
                 seed: 500 + 10 * i + (tenant == "beta") as u64,
                 ..JobSpec::default()
             };
@@ -1028,38 +1032,53 @@ fn batched_dispatch_respects_drr_and_inflight_caps_with_identical_artifacts() {
         std::thread::spawn(move || server.run())
     };
     let mut client = connect_with_retry(&socket);
-    for (id, _) in &ids {
+    let mut peak_running = 0;
+    let status = loop {
+        let s = match client.call(&Request::Status).expect("status") {
+            Response::Status(s) => s,
+            other => panic!("expected status, got {other:?}"),
+        };
+        for t in &s.tenants {
+            assert!(
+                t.running <= 2,
+                "tenant {} runs {} jobs over its cap of 2: {s:?}",
+                t.tenant,
+                t.running
+            );
+            peak_running = peak_running.max(t.running);
+        }
+        if s.completed == ids.len() as u64 {
+            break s;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    assert_eq!(peak_running, 2, "no poll saw a tenant at its cap");
+    // One job per wakeup: the 8-job backlog takes exactly 8 dispatches.
+    assert_eq!(status.dispatches, 8, "one dispatch per job");
+    assert_eq!(
+        status.dispatched_jobs, status.dispatches,
+        "every dispatch carries one job"
+    );
+    for (tenant, jobs) in [("alpha", 6), ("beta", 2)] {
+        let t = status
+            .tenants
+            .iter()
+            .find(|t| t.tenant == tenant)
+            .expect("tenant stats");
+        assert_eq!(t.served, jobs, "{tenant} must be fully served");
+        assert_eq!(t.shed, 0, "{tenant} must never be shed");
+    }
+    assert!(
+        status.solo_flushes >= 8,
+        "window 0 means one solo fsync per accept, got {}",
+        status.solo_flushes
+    );
+
+    for (id, spec) in &ids {
         match client.call(&Request::Wait(*id)).expect("wait") {
             Response::Done(_, JobDone::Ok { .. }) => {}
             other => panic!("job {id} failed: {other:?}"),
         }
-    }
-
-    match client.call(&Request::Status).expect("status") {
-        Response::Status(s) => {
-            // One job per wakeup: the 16-job backlog takes exactly
-            // 16 dispatches.
-            assert_eq!(s.dispatches, 16, "one dispatch per job");
-            assert_eq!(s.dispatched_jobs, s.dispatches, "every dispatch carries one job");
-            for tenant in ["alpha", "beta"] {
-                let t = s
-                    .tenants
-                    .iter()
-                    .find(|t| t.tenant == tenant)
-                    .expect("tenant stats");
-                assert_eq!(t.served, 8, "{tenant} must be fully served");
-                assert_eq!(t.shed, 0, "{tenant} must never be shed");
-            }
-            assert!(
-                s.solo_flushes >= 16,
-                "window 0 means one solo fsync per accept, got {}",
-                s.solo_flushes
-            );
-        }
-        other => panic!("expected status, got {other:?}"),
-    }
-
-    for (id, spec) in &ids {
         let got = std::fs::read_to_string(artifact_dir.join(format!("job-{id}.out")))
             .expect("served artifact");
         assert_eq!(
