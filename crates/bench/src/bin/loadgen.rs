@@ -3,9 +3,9 @@
 //! Drives a sustained burst of `submit`+`wait` conversations over C
 //! concurrent connections against a Unix-socket server (`--socket`) or
 //! a fleet coordinator's TCP front door (`--tcp`), and reports p50/p99
-//! job latency, jobs/s and jobs/s-per-core. On the repo's 1-CPU CI box
-//! the per-core figure *is* the throughput figure; the gate is
-//! correctness and per-core throughput, not wall-clock scaling.
+//! job latency, jobs/s, jobs/s-per-core and the server's fsyncs per
+//! accept. Throughput is reported, not gated: absolute serving speed is
+//! compared change against parent by `perfbench`.
 //!
 //! Chaos hooks, used by the CI fleet gate:
 //!
@@ -18,12 +18,10 @@
 //!   same spec. Any mismatch or lost job makes the run exit non-zero,
 //!   so "zero accepted jobs lost" is machine-checked.
 //!
-//! `--json FILE` saves the measurements (flat JSON); `--check FILE`
-//! gates the current run against a saved baseline: failures must be
-//! zero and jobs/s-per-core must stay within 20% of the recording.
+//! `--json FILE` saves the measurements (flat JSON). A lost or
+//! diverged job makes the run exit non-zero.
 
 use hq_bench::service::{run_job_direct, Client, JobDone, JobSpec, Reject, Request, Response};
-use hq_bench::util::codec::json_f64;
 use hq_des::json::Json;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -43,7 +41,6 @@ struct Options {
     kill_pidfile: Option<PathBuf>,
     kill_after: u64,
     json: Option<PathBuf>,
-    check: Option<PathBuf>,
     tenant: Option<String>,
     pace_ms: u64,
     allow_shed: bool,
@@ -53,7 +50,7 @@ fn usage() -> String {
     "usage: loadgen (--socket PATH | --tcp ADDR) [--jobs N] [--conns C] \
      [--seed BASE] [--seed-pool P] [--deadline-ms MS] [--timeout-ms MS] \
      [--tenant NAME] [--pace-ms MS] [--allow-shed] \
-     [--verify] [--kill-pidfile FILE --kill-after K] [--json FILE] [--check FILE]"
+     [--verify] [--kill-pidfile FILE --kill-after K] [--json FILE]"
         .to_string()
 }
 
@@ -71,7 +68,6 @@ fn parse(args: Vec<String>) -> Result<Options, String> {
         kill_pidfile: None,
         kill_after: 0,
         json: None,
-        check: None,
         tenant: None,
         pace_ms: 0,
         allow_shed: false,
@@ -103,7 +99,6 @@ fn parse(args: Vec<String>) -> Result<Options, String> {
                 o.kill_after = value(&mut it, "--kill-after")?.parse().map_err(|_| usage())?
             }
             "--json" => o.json = Some(value(&mut it, "--json")?.into()),
-            "--check" => o.check = Some(value(&mut it, "--check")?.into()),
             "--tenant" => o.tenant = Some(value(&mut it, "--tenant")?),
             "--pace-ms" => o.pace_ms = value(&mut it, "--pace-ms")?.parse().map_err(|_| usage())?,
             "--allow-shed" => o.allow_shed = true,
@@ -396,23 +391,5 @@ fn main() {
     if failures > 0 {
         eprintln!("loadgen: {failures} job(s) lost or diverged");
         std::process::exit(1);
-    }
-    if let Some(path) = &o.check {
-        let saved = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("loadgen: read baseline {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        let want = json_f64(&saved, "jobs_per_sec_per_core").unwrap_or(0.0);
-        let got = jobs_per_sec / cores;
-        if got < want * 0.8 {
-            eprintln!(
-                "loadgen: jobs/s-per-core regressed more than 20%: {got:.3} < 0.8 * {want:.3}"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("loadgen: check passed ({got:.3} vs baseline {want:.3} jobs/s-per-core)");
     }
 }

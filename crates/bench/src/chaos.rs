@@ -12,18 +12,13 @@
 //! always armed when hang faults are possible, so a deadlock is a bug,
 //! never an expected outcome. [`Chaos::run`] builds the simulator with
 //! the auditor enabled, runs it (panics caught), and classifies the
-//! outcome; [`Chaos::run_batch`] serves repeats from a per-case outcome
-//! memo and runs the rest one by one.
+//! outcome.
 //!
 //! Everything is deterministic: the same soak seed yields the same
 //! cases, outcomes and repro files. Chaos repros carry no `"kind"`
 //! field (they predate it).
 
 use crate::soak::{guarded, Outcome, OutcomeOf, Soak, REPRO_VERSION};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use hq_des::json::Json;
 use hq_des::rng::DetRng;
 use hq_des::time::Dur;
@@ -37,7 +32,7 @@ use hq_gpu::validate::validate;
 /// One kernel launch in a chaos case. Sizes are chosen so any kernel
 /// fits the Kepler per-SMX limits and one block always completes well
 /// inside a watchdog window.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelSpec {
     /// Thread blocks (1..=64).
     pub blocks: u32,
@@ -52,7 +47,7 @@ pub struct KernelSpec {
 }
 
 /// One application (host thread) in a chaos case.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AppSpec {
     /// Stream index this app issues to (sharing allowed).
     pub stream: u32,
@@ -69,7 +64,7 @@ pub struct AppSpec {
 }
 
 /// One scripted fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScriptedFault {
     /// Fault class.
     pub kind: FaultKind,
@@ -82,7 +77,7 @@ pub struct ScriptedFault {
 /// A fully self-describing chaos case. Every field round-trips through
 /// the JSON repro format exactly (rates are per-mille integers for that
 /// reason).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CaseSpec {
     /// Simulation RNG seed.
     pub seed: u64,
@@ -349,8 +344,7 @@ fn build_sim(spec: &CaseSpec) -> GpuSim {
     sim
 }
 
-/// Classify one simulation result (shared by the serial and batched
-/// paths, so both produce identical outcomes for identical runs).
+/// Classify one simulation result.
 fn classify(run: Result<SimResult, SimError>) -> CaseOutcome {
     match run {
         Err(e @ SimError::AuditFailure { .. }) => Outcome::Fail(FailureKind::Audit, e.to_string()),
@@ -374,47 +368,6 @@ fn classify(run: Result<SimResult, SimError>) -> CaseOutcome {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Per-case outcome memo (batched execution)
-// ---------------------------------------------------------------------
-
-/// Per-case outcome memo keyed by the case itself (fully
-/// self-describing, so equal cases ⇔ equal trajectories). Outcomes are tiny (an events count or a failure
-/// string), so the memo stays cheap across hundreds of thousands of
-/// cases. Honors `HQ_SCENARIO_CACHE=off|0` like the scenario cache.
-type CaseMemo = Mutex<HashMap<CaseSpec, CaseOutcome>>;
-
-fn case_memo() -> &'static CaseMemo {
-    static MEMO: OnceLock<CaseMemo> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-static CASE_HITS: AtomicU64 = AtomicU64::new(0);
-static CASE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-fn case_cache_enabled() -> bool {
-    !matches!(
-        std::env::var("HQ_SCENARIO_CACHE").as_deref(),
-        Ok("off") | Ok("0")
-    )
-}
-
-/// Process-lifetime `(hits, misses)` of the per-case outcome memo.
-pub fn case_cache_stats() -> (u64, u64) {
-    (
-        CASE_HITS.load(Ordering::Relaxed),
-        CASE_MISSES.load(Ordering::Relaxed),
-    )
-}
-
-/// Drop the per-case memo and zero its counters (cold-measurement hook
-/// for benchmarks and tests).
-pub fn reset_case_cache() {
-    case_memo().lock().clear();
-    CASE_HITS.store(0, Ordering::Relaxed);
-    CASE_MISSES.store(0, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------
@@ -513,33 +466,9 @@ impl Soak for Chaos {
     }
 
     /// Build and run one case with the auditor enabled; classify the
-    /// outcome. Bypasses the per-case memo (the shrinker *wants* fresh
-    /// runs of mutated specs; they would miss anyway).
+    /// outcome.
     fn run(spec: &CaseSpec) -> CaseOutcome {
         guarded::<Chaos>(|| classify(build_sim(spec).run()))
-    }
-
-    /// Run many cases in order, each served from the per-case memo or
-    /// run as a solo [`Chaos::run`] (under its own panic guard) and
-    /// memoized. Outcomes are identical to [`Chaos::run`] per spec.
-    fn run_batch(specs: &[CaseSpec]) -> Vec<CaseOutcome> {
-        if !case_cache_enabled() {
-            return specs.iter().map(Chaos::run).collect();
-        }
-        specs
-            .iter()
-            .map(|spec| {
-                let hit = case_memo().lock().get(spec).cloned();
-                if let Some(out) = hit {
-                    CASE_HITS.fetch_add(1, Ordering::Relaxed);
-                    return out;
-                }
-                CASE_MISSES.fetch_add(1, Ordering::Relaxed);
-                let out = Chaos::run(spec);
-                case_memo().lock().insert(spec.clone(), out.clone());
-                out
-            })
-            .collect()
     }
 
     /// Drop apps, drop faults, zero rates, shrink sizes, simplify the

@@ -271,7 +271,8 @@ fn footprint(pre: &str, out: &RunOutcome) -> usize {
 /// keeping the original put peak RSS at ~69 MB against ~47 MB.
 /// Trimming in place (`shrink_to_fit`) reached ~56 MB, but its
 /// shrinking reallocations left later simulations in the same process
-/// ~40% slower (the chaos bench of `perf_baseline`).
+/// ~40% slower (timed on serial chaos cases: 104–106 µs/case against
+/// ~60 µs/case with the copy).
 fn share(out: RunOutcome) -> Arc<RunOutcome> {
     Arc::new(out.clone())
 }

@@ -6,9 +6,8 @@
 //! [`DetRng`], run it, list one-step simplifications of it, and lay it
 //! out as a JSON repro. Everything else lives here once:
 //!
-//! 1. [`soak`] draws `cases` cases from `seed`, runs them (in batches
-//!    when the soak has a batched executor) and stops at the first
-//!    failure by case index — exactly where a serial soak would stop.
+//! 1. [`soak`] draws `cases` cases from `seed`, runs them one by one
+//!    and stops at the first failure.
 //! 2. [`shrink`] greedily minimizes that case: it accepts the first
 //!    candidate that still fails in the same category, so the repro
 //!    never morphs into a different bug.
@@ -74,11 +73,6 @@ pub trait Soak {
     fn gen(rng: &mut DetRng) -> Self::Case;
     /// Run one case; panics are caught (see [`guarded`]).
     fn run(case: &Self::Case) -> OutcomeOf<Self>;
-    /// Run many cases, outcomes in order. Must classify each case
-    /// exactly as [`Soak::run`] would.
-    fn run_batch(cases: &[Self::Case]) -> Vec<OutcomeOf<Self>> {
-        cases.iter().map(Self::run).collect()
-    }
     /// One-step simplifications of a case, in the order the shrinker
     /// tries them; every candidate differs from `case`.
     fn candidates(case: &Self::Case) -> Vec<Self::Case>;
@@ -204,59 +198,47 @@ pub struct SoakReport<S: Soak> {
     pub failure: Option<SoakFailure<S::Failure>>,
 }
 
-/// Run `cases` generated cases from `seed`, `batch` at a time (1 runs
-/// each case alone through [`Soak::run`]). On the first failure by case
-/// index, shrink it and write its repro under `repro_dir` as
-/// `KIND-category-hash.json`. `progress` is called after each case with
-/// (index, outcome). Errors only when the repro cannot be written.
+/// Run `cases` generated cases from `seed`, one at a time through
+/// [`Soak::run`]. On the first failure, shrink it and write its repro
+/// under `repro_dir` as `KIND-category-hash.json`. `progress` is called
+/// after each case with (index, outcome). Errors only when the repro
+/// cannot be written.
 pub fn soak<S: Soak>(
     cases: usize,
     seed: u64,
-    batch: usize,
     repro_dir: &Path,
     mut progress: impl FnMut(usize, &OutcomeOf<S>),
 ) -> std::io::Result<SoakReport<S>> {
     let mut rng = DetRng::seed_from_u64(seed);
     let mut totals = S::Stats::default();
-    let mut start = 0;
-    while start < cases {
-        let n = batch.max(1).min(cases - start);
-        let drawn: Vec<S::Case> = (0..n).map(|_| S::gen(&mut rng)).collect();
-        let outcomes = if n == 1 {
-            vec![S::run(&drawn[0])]
-        } else {
-            S::run_batch(&drawn)
-        };
-        // Walk outcomes in case order: the first failure (lowest index)
-        // wins, exactly where the serial soak would have stopped.
-        for (k, (case, outcome)) in drawn.iter().zip(outcomes).enumerate() {
-            progress(start + k, &outcome);
-            match outcome {
-                Outcome::Pass(stats) => totals += stats,
-                Outcome::Fail(kind, detail) => {
-                    let (small, steps) = shrink::<S>(case, kind);
-                    let repro = repro_dir.join(format!(
-                        "{}-{kind}-{:016x}.json",
-                        S::KIND,
-                        fnv1a(S::to_json(&small).as_bytes())
-                    ));
-                    std::fs::create_dir_all(repro_dir)?;
-                    write_repro::<S>(&repro, &small)?;
-                    return Ok(SoakReport {
-                        cases: start + k + 1,
-                        totals,
-                        failure: Some(SoakFailure {
-                            case: start + k,
-                            kind,
-                            detail,
-                            steps,
-                            repro,
-                        }),
-                    });
-                }
+    for i in 0..cases {
+        let case = S::gen(&mut rng);
+        let outcome = S::run(&case);
+        progress(i, &outcome);
+        match outcome {
+            Outcome::Pass(stats) => totals += stats,
+            Outcome::Fail(kind, detail) => {
+                let (small, steps) = shrink::<S>(&case, kind);
+                let repro = repro_dir.join(format!(
+                    "{}-{kind}-{:016x}.json",
+                    S::KIND,
+                    fnv1a(S::to_json(&small).as_bytes())
+                ));
+                std::fs::create_dir_all(repro_dir)?;
+                write_repro::<S>(&repro, &small)?;
+                return Ok(SoakReport {
+                    cases: i + 1,
+                    totals,
+                    failure: Some(SoakFailure {
+                        case: i,
+                        kind,
+                        detail,
+                        steps,
+                        repro,
+                    }),
+                });
             }
         }
-        start += n;
     }
     Ok(SoakReport {
         cases,
@@ -321,20 +303,19 @@ mod tests {
         }
     }
 
-    /// Batching changes neither which case fails first nor the shrunk
-    /// repro: the driver stops at the lowest failing index, exactly
-    /// where a serial soak stops, even mid-batch.
+    /// The driver stops at the first failing case, shrinks it to the
+    /// smallest failure and names its repro by the shrunk case's hash.
     #[test]
-    fn driver_reports_the_first_failure_whatever_the_batch() {
+    fn driver_stops_at_the_first_failure_and_writes_its_shrunk_repro() {
         let dir = std::env::temp_dir().join(format!("hq_soak_driver_{}", std::process::id()));
-        let serial = soak::<Toy>(500, 3, 1, &dir, |_, _| {}).unwrap();
-        let first = serial
+        let report = soak::<Toy>(500, 3, &dir, |_, _| {}).unwrap();
+        let first = report
             .failure
             .as_ref()
             .expect("some case ≥ 90 in 500 draws");
-        assert_eq!(serial.cases, first.case + 1);
+        assert_eq!(report.cases, first.case + 1);
         assert_eq!(
-            serial.totals, first.case as u64,
+            report.totals, first.case as u64,
             "every earlier case passed"
         );
         assert_eq!(first.kind, "big");
@@ -348,14 +329,6 @@ mod tests {
         );
         let name = format!("toy-big-{:016x}.json", fnv1a(Toy::to_json(&90).as_bytes()));
         assert_eq!(first.repro, dir.join(name));
-        for batch in [2, 7, 64] {
-            let batched = soak::<Toy>(500, 3, batch, &dir, |_, _| {}).unwrap();
-            let f = batched.failure.expect("same failure");
-            assert_eq!(
-                (batched.cases, f.case, &f.repro),
-                (serial.cases, first.case, &first.repro)
-            );
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

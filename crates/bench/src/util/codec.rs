@@ -11,9 +11,7 @@
 //!   escaping + the tag-checked line [`Cursor`],
 //! * the service write-ahead journal and wire protocol
 //!   ([`crate::service`]) — escaping, the line [`Cursor`] and [`fnv1a`]
-//!   line checksums,
-//! * the perf baseline and `loadgen --check` — the flat [`json_f64`]
-//!   field extractor.
+//!   line checksums.
 //!
 //! JSON documents are written and parsed by [`hq_des::json`].
 //!
@@ -105,19 +103,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Extract `"key": <number>` from a flat JSON text (keys must be unique
-/// across the whole document). The perf-baseline check reads its saved
-/// measurement files with this instead of a full parse.
-pub fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,14 +132,6 @@ mod tests {
         assert!(c.line().is_none());
         let mut c = Cursor::new("wrong 1\n");
         assert!(c.tagged_u64("count").is_none());
-    }
-
-    #[test]
-    fn json_f64_extracts_flat_fields() {
-        let text = "{\n  \"a\": 12.5,\n  \"nested\": { \"b\": -3 }\n}";
-        assert_eq!(json_f64(text, "a"), Some(12.5));
-        assert_eq!(json_f64(text, "b"), Some(-3.0));
-        assert_eq!(json_f64(text, "missing"), None);
     }
 
     #[test]

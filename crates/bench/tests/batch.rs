@@ -4,18 +4,14 @@
 //! from the same scenario run uncached by `run_schedule`, across the
 //! determinism axes (faults on/off and recovery policy, `HQ_AUDIT=1`),
 //! and a job that faults must not perturb clean jobs run around it in
-//! the same process. Chaos batches must classify every case exactly
-//! as serial runs do.
+//! the same process.
 //!
 //! Artifact comparison goes through the scenario cache's own entry
 //! encoding ([`scenario::encode_outcome`]) — the exact bytes the cache
 //! would persist — with the one documented-nondeterministic line (the
 //! `perf ` wall-clock line) stripped.
 
-use hq_bench::chaos::{self, Chaos};
 use hq_bench::scenario::{self, run_scenario};
-use hq_bench::soak::Soak;
-use hq_des::rng::DetRng;
 use hq_des::time::Dur;
 use hq_gpu::prelude::*;
 use hq_workloads::apps::AppKind;
@@ -28,8 +24,8 @@ use proptest::prelude::*;
 
 /// Tests in this binary run on concurrent threads but mutate
 /// process-global environment variables (`HQ_RESULTS`, `HQ_AUDIT`)
-/// and the process-global scenario / chaos-case memos; every test
-/// holds this lock for its whole body.
+/// and the process-global scenario memo; every test holds this lock
+/// for its whole body.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Deterministic artifact bytes for one outcome: the cache entry
@@ -219,40 +215,4 @@ fn cached_search_matches_uncached_search() {
     scenario::reset_cache();
     std::env::remove_var("HQ_RESULTS");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Chaos: batched case execution classifies every case exactly as the
-/// serial path does — across passes (event counts included), audit
-/// failures, deadlocks and validate violations — and the per-case memo
-/// serves repeats without re-simulation.
-#[test]
-fn chaos_batch_matches_serial_cases() {
-    let _guard = ENV_LOCK.lock();
-    chaos::reset_case_cache();
-    let mut rng = DetRng::seed_from_u64(0xc4a0);
-    let specs: Vec<chaos::CaseSpec> = (0..24).map(|_| chaos::gen_case(&mut rng)).collect();
-
-    let serial: Vec<String> = specs
-        .iter()
-        .map(|s| format!("{:?}", Chaos::run(s)))
-        .collect();
-    let batched: Vec<String> = Chaos::run_batch(&specs)
-        .into_iter()
-        .map(|o| format!("{o:?}"))
-        .collect();
-    assert_eq!(serial, batched, "batched chaos outcomes diverged");
-    let (h0, m0) = chaos::case_cache_stats();
-    assert_eq!(m0, 24, "first batch all misses");
-    assert_eq!(h0, 0);
-
-    // Memoized: the same batch again is pure hits.
-    let again: Vec<String> = Chaos::run_batch(&specs)
-        .into_iter()
-        .map(|o| format!("{o:?}"))
-        .collect();
-    assert_eq!(serial, again, "memoized chaos outcomes diverged");
-    let (h1, m1) = chaos::case_cache_stats();
-    assert_eq!(m1, 24, "second batch must not re-simulate");
-    assert_eq!(h1, 24, "second batch all hits");
-    chaos::reset_case_cache();
 }

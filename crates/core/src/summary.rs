@@ -106,7 +106,8 @@ impl RunSummary {
     /// Floats are written shortest round-trip, so they parse back
     /// bit-equal; an absent Le is `null`; an app's outcome is
     /// `{"kind": "completed" | "failed" | "retried"}` plus `"reason"`
-    /// (the fault kind) or `"attempts"`.
+    /// (the fault kind) or `"attempts"` (re-runs after the failed
+    /// first run).
     pub fn to_json(&self) -> String {
         let f = &self.faults;
         let faults = Json::obj([

@@ -40,7 +40,7 @@ use crate::types::AppId;
 use hq_des::rng::DetRng;
 
 /// The kinds of injected faults.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultKind {
     /// A DMA transfer fails after the engine latency.
     CopyFail,

@@ -59,9 +59,10 @@ pub enum AppOutcome {
         reason: FaultKind,
     },
     /// The harness re-ran the application after a failure and the retry
-    /// completed. `attempts` counts every run, including the first.
+    /// completed. `attempts` counts the re-runs, not the failed first
+    /// run: one successful retry is `attempts: 1`, two runs in all.
     Retried {
-        /// Total runs of this application.
+        /// Re-runs of this application after its first, failed run (≥ 1).
         attempts: u32,
     },
 }

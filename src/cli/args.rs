@@ -42,7 +42,7 @@ USAGE:
   hyperq journal   inspect FILE
   hyperq scrub     [--repair] [--journal PATH] [--artifact-dir DIR]
                    [--cache-dir DIR]
-  hyperq chaos     [--cases N] [--seed N] [--batch K] [--repro-dir DIR]
+  hyperq chaos     [--cases N] [--seed N] [--repro-dir DIR]
   hyperq torture   [--cases N] [--seed N] [--repro-dir DIR]
   hyperq table3
   hyperq devices
@@ -212,8 +212,6 @@ pub struct Cli {
     pub cache_dir: Option<String>,
     /// Soak cases to run (`chaos`/`torture --cases`).
     pub cases: usize,
-    /// Soak cases run per batch (`chaos --batch`, 1 = one at a time).
-    pub batch: usize,
     /// Directory shrunk soak repros are written to (`--repro-dir`).
     pub repro_dir: Option<String>,
 }
@@ -283,7 +281,6 @@ impl Default for Cli {
             repair: false,
             cache_dir: None,
             cases: 25,
-            batch: 1,
             repro_dir: None,
         }
     }
@@ -585,14 +582,6 @@ pub fn parse_args(args: Vec<String>) -> Result<Cli, String> {
                     .map_err(|_| "--cases needs an integer".to_string())?;
                 if cli.cases == 0 || cli.cases > 10_000 {
                     return Err("--cases must be in 1..=10000".into());
-                }
-            }
-            "--batch" => {
-                cli.batch = value(&mut it, "--batch")?
-                    .parse()
-                    .map_err(|_| "--batch needs an integer".to_string())?;
-                if cli.batch == 0 || cli.batch > 10_000 {
-                    return Err("--batch must be in 1..=10000".into());
                 }
             }
             "--repro-dir" => cli.repro_dir = Some(value(&mut it, "--repro-dir")?),
@@ -941,13 +930,13 @@ mod tests {
     }
 
     #[test]
-    fn chaos_parses_cases_seed_and_batch() {
-        let cli = parse_args(argv("chaos --cases 200 --seed 7 --batch 16")).unwrap();
+    fn chaos_parses_cases_and_seed_and_rejects_batch() {
+        let cli = parse_args(argv("chaos --cases 200 --seed 7")).unwrap();
         assert_eq!(cli.command, Command::Chaos);
-        assert_eq!((cli.cases, cli.seed, cli.batch), (200, 7, 16));
-        assert_eq!(parse_args(argv("chaos")).unwrap().batch, 1);
-        assert!(parse_args(argv("chaos --batch 0")).is_err());
-        assert!(parse_args(argv("chaos --batch many")).is_err());
+        assert_eq!((cli.cases, cli.seed), (200, 7));
+        // Cases run one at a time; the old batch-size flag is gone.
+        let err = parse_args(argv("chaos --cases 200 --batch 16")).err();
+        assert_eq!(err.as_deref(), Some("unknown flag '--batch'"));
     }
 
     #[test]

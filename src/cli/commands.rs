@@ -570,7 +570,7 @@ fn cmd_soak<S: Soak>(cli: &Cli) -> Result<String, String> {
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| hq_bench::util::out_dir().join("repro"));
     let t0 = std::time::Instant::now();
-    let report = soak::soak::<S>(cli.cases, cli.seed, cli.batch, &repro_dir, |i, _| {
+    let report = soak::soak::<S>(cli.cases, cli.seed, &repro_dir, |i, _| {
         if (i + 1).is_multiple_of(50) {
             eprintln!(
                 "  {}: {}/{} cases run ({:.2?})",
