@@ -6,7 +6,8 @@
 //! keeps many worker *processes* busy — each its own `hyperq serve`
 //! child with a private Unix socket, write-ahead journal and scenario
 //! cache — behind one TCP front door speaking the exact same
-//! length-prefixed [`super::protocol`] frames.
+//! length-prefixed [`super::protocol`] frames. The door is the server's
+//! own front end: a blocking accept loop with a thread per connection.
 //!
 //! ## Topology and placement
 //!
@@ -45,17 +46,18 @@
 //! * **Deadlines propagate**: a job's remaining deadline budget is
 //!   recomputed at every coordinator→worker hop, including
 //!   re-dispatch after a crash.
-//! * **Graceful drain**: SIGTERM or a `shutdown` request stops
-//!   accepting, collects every outstanding job's result, then shuts
-//!   each worker down so every live shard seals its journal.
+//! * **Graceful drain**: SIGTERM or a `shutdown` request wakes the
+//!   accept loop at once and new connections are refused; the
+//!   coordinator collects every outstanding job's result, releases the
+//!   supervisor from its heartbeat wait, then shuts each worker down so
+//!   every live shard seals its journal.
 
 use super::journal::Journal;
-use super::protocol::{self, JobDone, JobSpec, Reject, Request, Response, StatusReport, TenantStat};
+use super::protocol::{JobDone, JobSpec, Reject, Request, Response, StatusReport, TenantStat};
 use super::ring::{Ring, DEFAULT_VNODES};
-use super::{install_sigterm, retry_backoff as backoff, term_requested, Breaker, Client};
+use super::{front, retry_backoff as backoff, Breaker, Client};
 use crate::util::write_atomic;
 use std::collections::HashMap;
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -183,7 +185,7 @@ pub struct Fleet {
     state: Mutex<FleetState>,
     cond: Condvar,
     opts: FleetOptions,
-    listener: TcpListener,
+    listener: Arc<TcpListener>,
     local: SocketAddr,
     children: Mutex<Vec<Option<Child>>>,
     /// Stop accepting new connections/jobs.
@@ -201,8 +203,7 @@ pub struct Fleet {
 impl Fleet {
     /// Bind the front door, lay out the shard directories and spawn
     /// every worker process. The resolved TCP address (useful with
-    /// port 0) is written to `<dir>/addr` and available from
-    /// [`Fleet::local_addr`] immediately.
+    /// port 0) is written to `<dir>/addr` before any worker starts.
     pub fn start(opts: FleetOptions) -> Result<Arc<Fleet>, String> {
         std::fs::create_dir_all(&opts.dir)
             .map_err(|e| format!("create fleet dir {}: {e}", opts.dir.display()))?;
@@ -213,9 +214,6 @@ impl Fleet {
             .map_err(|e| format!("local addr: {e}"))?;
         write_atomic(&opts.dir.join("addr"), &format!("{local}\n"))
             .map_err(|e| format!("write addr file: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("nonblocking listener: {e}"))?;
 
         let n = opts.workers.max(1);
         let mut shards = Vec::with_capacity(n);
@@ -252,7 +250,7 @@ impl Fleet {
             }),
             cond: Condvar::new(),
             opts,
-            listener,
+            listener: Arc::new(listener),
             local,
             children: Mutex::new((0..n).map(|_| None).collect()),
             stop: AtomicBool::new(false),
@@ -266,11 +264,6 @@ impl Fleet {
             fleet.children.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(child);
         }
         Ok(fleet)
-    }
-
-    /// The bound TCP address (resolved port included).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local
     }
 
     fn lock(&self) -> MutexGuard<'_, FleetState> {
@@ -393,11 +386,17 @@ impl Fleet {
     /// kicks cannot spin the supervisor.
     fn report_shard_failure(&self, i: usize) {
         self.record_shard(i, false);
+        self.kick();
+    }
+
+    /// End the supervisor's current (or next) heartbeat wait at once.
+    fn kick(&self) {
         *self.kick.lock().unwrap_or_else(|e| e.into_inner()) = true;
         self.kicked.notify_one();
     }
 
-    /// Wait one heartbeat, or until a client-path call kicks.
+    /// Wait one heartbeat, or until a client-path call or the drain
+    /// kicks.
     fn await_tick(&self) {
         let mut kick = self.kick.lock().unwrap_or_else(|e| e.into_inner());
         if !*kick {
@@ -685,9 +684,8 @@ impl Fleet {
     // The client-facing request handlers.
     // -----------------------------------------------------------------
 
-    /// Handle one client request to one response (the front door's
-    /// [`protocol::serve_frames`] callback; also driven directly by
-    /// tests).
+    /// Handle one client request to one response (the front end's
+    /// per-connection handler; also driven directly by tests).
     pub fn handle(self: &Arc<Self>, req: Request) -> Response {
         match req {
             Request::Submit(spec) => self.submit(spec),
@@ -893,16 +891,16 @@ impl Fleet {
     /// drain every outstanding job, shut the workers down (each seals
     /// its journal) and reap them.
     pub fn run(self: &Arc<Self>) -> Result<(), String> {
-        install_sigterm();
         let supervisor = {
             let fleet = Arc::clone(self);
             std::thread::Builder::new()
                 .name("hq-fleet-supervisor".to_string())
-                .spawn(move || {
-                    while !fleet.done.load(Ordering::SeqCst) {
-                        fleet.await_tick();
-                        fleet.supervise_once();
+                .spawn(move || loop {
+                    fleet.await_tick();
+                    if fleet.done.load(Ordering::SeqCst) {
+                        break;
                     }
+                    fleet.supervise_once();
                 })
                 .map_err(|e| format!("spawn supervisor: {e}"))?
         };
@@ -911,38 +909,9 @@ impl Fleet {
             self.local,
             self.lock().shards.len()
         );
-        while !term_requested() && !self.stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_nodelay(true);
-                    let fleet = Arc::clone(self);
-                    let _ = std::thread::Builder::new()
-                        .name("hq-fleet-conn".to_string())
-                        .spawn(move || {
-                            let Ok(read_half) = stream.try_clone() else {
-                                return;
-                            };
-                            let mut reader = BufReader::new(read_half);
-                            let mut writer = stream;
-                            protocol::serve_frames(&mut reader, &mut writer, |req| {
-                                fleet.handle(req)
-                            });
-                        });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => {
-                    // Persistent errors (EMFILE) fail every call; back
-                    // off instead of spinning a core on them.
-                    eprintln!("fleet: accept: {e}");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
+        let fleet = Arc::clone(self);
+        front::serve(Arc::clone(&self.listener), &self.stop, move |req| fleet.handle(req));
         self.lock().shutting_down = true;
-        self.stop.store(true, Ordering::SeqCst);
         // Drain: resolve every outstanding job ourselves. The
         // supervisor stays alive through this so a worker dying
         // mid-drain still gets restarted or rehashed.
@@ -964,14 +933,12 @@ impl Fleet {
             }
         }
         self.done.store(true, Ordering::SeqCst);
+        self.kick();
         let _ = supervisor.join();
-        // Now the workers: each drains (its queue is already empty)
-        // and seals its journal on the way out.
-        let live: Vec<usize> = {
-            let g = self.lock();
-            (0..g.shards.len()).filter(|&i| !g.shards[i].dead).collect()
-        };
-        for i in live {
+        // Now the live workers (`call_worker` skips dead shards): each
+        // drains (its queue is already empty) and seals its journal.
+        let n = self.lock().shards.len();
+        for i in 0..n {
             let _ = self.call_worker(i, &Request::Shutdown, self.opts.call_timeout_ms);
         }
         let mut ch = self.children.lock().unwrap_or_else(|e| e.into_inner());

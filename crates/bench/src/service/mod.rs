@@ -26,9 +26,10 @@
 //!   completed jobs are skipped, unfinished ones re-execute through
 //!   the deterministic [`crate::scenario::run_scenario`] cache and
 //!   produce byte-identical artifacts.
-//! * **Graceful shutdown** — SIGTERM or a `shutdown` request stops
-//!   accepting, drains in-flight jobs, seals the journal and removes
-//!   the socket.
+//! * **Graceful shutdown** — SIGTERM or a `shutdown` request wakes
+//!   the blocking accept loop (the `front` module, shared with the
+//!   fleet), which refuses new connections from then on; the server
+//!   drains in-flight jobs, seals the journal and removes the socket.
 //! * **Concurrency** — each worker wakeup pops one queued job in DRR
 //!   order, runs it under its own panic guard and settles it at once,
 //!   so a short job never waits behind a long one while a worker is
@@ -40,6 +41,7 @@
 //! the vendored `parking_lot` shim has no condvar).
 
 pub mod fleet;
+mod front;
 pub mod journal;
 pub mod protocol;
 pub mod ring;
@@ -58,17 +60,18 @@ pub use tenancy::{ServiceEstimator, TenantPolicy, TenantQueues};
 use crate::scenario::{run_scenario_workload, scenario_is_warm, SIM_VERSION};
 use crate::util::codec::{esc, fnv1a};
 use crate::util::write_atomic;
+use front::Conn;
 use hq_gpu::config::DeviceConfig;
 use hq_gpu::result::AppOutcome;
 use hyperq_core::harness::{RunConfig, RunOutcome};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -548,91 +551,6 @@ impl RecoveryReport {
             u8::from(self.was_sealed)
         )
     }
-}
-
-static TERM: AtomicBool = AtomicBool::new(false);
-
-/// Address of the socket the latest [`Server::run`] accept loop
-/// blocks on, or null. The SIGTERM handler connects to it to wake that
-/// `accept`: the signal may land on any thread, so an `EINTR` cannot
-/// be relied on to reach the loop. Each registration is leaked (110
-/// bytes per `run`), so the handler never reads freed memory.
-static WAKE_ADDR: AtomicPtr<SockAddrUn> = AtomicPtr::new(std::ptr::null_mut());
-
-// No libc crate in the vendor set; declare the libc symbols directly,
-// with Linux's values for the constants below.
-const SIGTERM: i32 = 15;
-const AF_UNIX: u16 = 1;
-const SOCK_STREAM: i32 = 1;
-const SOCK_NONBLOCK: i32 = 0o4000;
-
-/// Linux `struct sockaddr_un`.
-#[repr(C)]
-struct SockAddrUn {
-    family: u16,
-    path: [u8; 108],
-}
-
-extern "C" {
-    fn signal(signum: i32, handler: usize) -> usize;
-    fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-    fn connect(fd: i32, addr: *const SockAddrUn, len: u32) -> i32;
-    fn close(fd: i32) -> i32;
-    fn __errno_location() -> *mut i32;
-}
-
-extern "C" fn on_term(_sig: i32) {
-    TERM.store(true, Ordering::SeqCst);
-    let addr = WAKE_ADDR.load(Ordering::SeqCst);
-    if addr.is_null() {
-        return;
-    }
-    // Async-signal-safe calls only. The socket is nonblocking so a
-    // full backlog cannot park the handler, and errno is restored for
-    // whatever call the signal interrupted.
-    // SAFETY: `addr` came from `Box::into_raw` in `register_term_wake`
-    // and is never freed, so it points at a live, NUL-terminated
-    // `sockaddr_un` of the length passed; `__errno_location` returns
-    // this thread's errno slot.
-    unsafe {
-        let errno = *__errno_location();
-        let fd = socket(i32::from(AF_UNIX), SOCK_STREAM | SOCK_NONBLOCK, 0);
-        if fd >= 0 {
-            connect(fd, addr, std::mem::size_of::<SockAddrUn>() as u32);
-            close(fd);
-        }
-        *__errno_location() = errno;
-    }
-}
-
-/// Has SIGTERM been delivered to this process? Shared by the
-/// single-process server loop and the fleet coordinator.
-pub(crate) fn term_requested() -> bool {
-    TERM.load(Ordering::SeqCst)
-}
-
-pub(crate) fn install_sigterm() {
-    // SAFETY: `on_term` has the `void (*)(int)` ABI `signal` expects
-    // and only touches atomics and async-signal-safe libc calls.
-    unsafe {
-        signal(SIGTERM, on_term as extern "C" fn(i32) as usize);
-    }
-}
-
-/// Point the SIGTERM handler's wake-up connect at `socket`. A path too
-/// long for a `sockaddr_un` is skipped: binding it has already failed.
-fn register_term_wake(socket: &Path) {
-    let bytes = socket.as_os_str().as_encoded_bytes();
-    let mut addr = Box::new(SockAddrUn {
-        family: AF_UNIX,
-        path: [0; 108],
-    });
-    // Leave room for the trailing NUL.
-    if bytes.len() >= addr.path.len() {
-        return;
-    }
-    addr.path[..bytes.len()].copy_from_slice(bytes);
-    WAKE_ADDR.store(Box::into_raw(addr), Ordering::SeqCst);
 }
 
 /// The scenario server. Construct with [`Server::new`] (which performs
@@ -1145,8 +1063,6 @@ impl Server {
         }
         let listener =
             UnixListener::bind(socket).map_err(|e| format!("bind {}: {e}", socket.display()))?;
-        register_term_wake(socket);
-        install_sigterm();
         let workers: Vec<_> = (0..self.opts.workers.max(1))
             .map(|i| {
                 let server = Arc::clone(self);
@@ -1162,25 +1078,8 @@ impl Server {
             self.opts.workers.max(1),
             self.opts.queue_depth
         );
-        // A blocking accept: SIGTERM and a `shutdown` connection wake
-        // it by connecting to the socket after setting the flags
-        // checked here.
-        while !term_requested() && !self.stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let server = Arc::clone(self);
-                    let _ = std::thread::Builder::new()
-                        .name("hq-service-conn".to_string())
-                        .spawn(move || server.handle_conn(stream));
-                }
-                Err(e) => {
-                    // Persistent errors (EMFILE) fail every call; back
-                    // off instead of spinning a core on them.
-                    eprintln!("service: accept: {e}");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
+        let server = Arc::clone(self);
+        front::serve(Arc::new(listener), &self.stop, move |req| server.handle(req));
         // Drain: stop admitting, let workers finish what is queued and
         // running, then seal so the next start knows nothing is owed.
         {
@@ -1202,21 +1101,6 @@ impl Server {
         let _ = std::fs::remove_file(socket);
         eprintln!("service: drained and sealed, bye");
         Ok(())
-    }
-
-    fn handle_conn(self: Arc<Self>, stream: UnixStream) {
-        let Ok(read_half) = stream.try_clone() else {
-            return;
-        };
-        let mut reader = BufReader::new(read_half);
-        let mut writer = stream;
-        protocol::serve_frames(&mut reader, &mut writer, |req| self.handle(req));
-        if self.stop.load(Ordering::SeqCst) {
-            // Wake the blocking accept loop so it sees `stop` — only
-            // now, after a `shutdown` request's `Bye` went out, since
-            // the process exits soon after the loop does.
-            let _ = UnixStream::connect(&self.opts.socket);
-        }
     }
 }
 
@@ -1327,55 +1211,6 @@ pub(crate) fn retry_backoff(base_ms: u64, key: &str, attempt: u32) -> Duration {
 // Client.
 // ---------------------------------------------------------------------
 
-/// One client-side byte stream: the Unix socket the single-process
-/// server binds, or the TCP front door of a fleet coordinator. Both
-/// carry identical frames; only connection setup differs.
-enum Transport {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Transport {
-    fn try_clone(&self) -> std::io::Result<Transport> {
-        match self {
-            Transport::Unix(s) => s.try_clone().map(Transport::Unix),
-            Transport::Tcp(s) => s.try_clone().map(Transport::Tcp),
-        }
-    }
-
-    fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Transport::Unix(s) => s.set_read_timeout(dur),
-            Transport::Tcp(s) => s.set_read_timeout(dur),
-        }
-    }
-}
-
-impl Read for Transport {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Transport::Unix(s) => s.read(buf),
-            Transport::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Transport {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Transport::Unix(s) => s.write(buf),
-            Transport::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Transport::Unix(s) => s.flush(),
-            Transport::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// Seeded connection-fault plan for the network torture harness. Each
 /// [`Client::call`] rolls deterministically (from `seed` and a
 /// per-client request counter) for one of three faults:
@@ -1424,16 +1259,16 @@ impl NetFaultState {
 
 /// Client connection holding one request/response conversation.
 pub struct Client {
-    reader: BufReader<Transport>,
-    writer: Transport,
+    reader: BufReader<Box<dyn Conn>>,
+    writer: Box<dyn Conn>,
     timeout_ms: Option<u64>,
     bufs: protocol::FrameBufs,
     net: Option<NetFaultState>,
 }
 
 impl Client {
-    fn from_transport(stream: Transport) -> Result<Client, String> {
-        let read_half = stream.try_clone().map_err(|e| format!("clone stream: {e}"))?;
+    fn from_conn(stream: Box<dyn Conn>) -> Result<Client, String> {
+        let read_half = stream.try_clone_conn().map_err(|e| format!("clone stream: {e}"))?;
         Ok(Client {
             reader: BufReader::new(read_half),
             writer: stream,
@@ -1462,14 +1297,14 @@ impl Client {
     pub fn connect(socket: &Path) -> Result<Client, String> {
         let stream = UnixStream::connect(socket)
             .map_err(|e| format!("connect {}: {e}", socket.display()))?;
-        Client::from_transport(Transport::Unix(stream))
+        Client::from_conn(Box::new(stream))
     }
 
     /// Connect to a fleet coordinator's TCP front door.
     pub fn connect_tcp(addr: &str) -> Result<Client, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
         let _ = stream.set_nodelay(true);
-        Client::from_transport(Transport::Tcp(stream))
+        Client::from_conn(Box::new(stream))
     }
 
     /// Bound every subsequent response read: a wedged server answers

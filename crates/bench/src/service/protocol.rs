@@ -126,6 +126,7 @@ fn bad_data(msg: String) -> std::io::Error {
 
 /// Serve one connection: read request frames, answer each with one
 /// response frame, until clean EOF, a transport error, or a `Bye`.
+/// Returns true when the handler answered `Bye`.
 /// Protocol violations — a frame whose declared length exceeds
 /// [`MAX_FRAME`] (rejected before any allocation), a malformed length
 /// prefix, non-UTF-8 payload bytes — are answered with a framed
@@ -137,18 +138,18 @@ pub fn serve_frames<R: BufRead, W: Write>(
     reader: &mut R,
     writer: &mut W,
     mut handle: impl FnMut(Request) -> Response,
-) {
+) -> bool {
     let mut bufs = FrameBufs::default();
     loop {
         let request = match read_frame_into(reader, &mut bufs) {
             Ok(Some(p)) => Request::decode(p),
-            Ok(None) => return,
+            Ok(None) => return false,
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
                 let refuse = Response::Rejected(Reject::BadRequest(format!("protocol: {e}")));
                 let _ = write_frame_into(writer, &mut bufs, &refuse.encode());
-                return;
+                return false;
             }
-            Err(_) => return,
+            Err(_) => return false,
         };
         let response = match request {
             Ok(req) => handle(req),
@@ -156,7 +157,7 @@ pub fn serve_frames<R: BufRead, W: Write>(
         };
         let last = matches!(response, Response::Bye { .. });
         if write_frame_into(writer, &mut bufs, &response.encode()).is_err() || last {
-            return;
+            return last;
         }
     }
 }
@@ -1033,11 +1034,12 @@ mod tests {
         // without allocating the claimed buffer.
         let huge = format!("{}\nwhatever", usize::MAX);
         let mut out = Vec::new();
-        serve_frames(
+        let bye = serve_frames(
             &mut std::io::BufReader::new(huge.as_bytes()),
             &mut out,
             |_| unreachable!("no frame should ever decode"),
         );
+        assert!(!bye);
         let mut r = std::io::BufReader::new(&out[..]);
         let reply = read_frame(&mut r).unwrap().expect("a framed error");
         match Response::decode(&reply) {
@@ -1075,11 +1077,12 @@ mod tests {
         write_frame(&mut input, &Request::Shutdown.encode()).unwrap();
         write_frame(&mut input, &Request::Ping.encode()).unwrap();
         let mut out = Vec::new();
-        serve_frames(
+        let bye = serve_frames(
             &mut std::io::BufReader::new(&input[..]),
             &mut out,
             |_| Response::Bye { draining: 0 },
         );
+        assert!(bye, "a bye answer is reported to the caller");
         let mut r = std::io::BufReader::new(&out[..]);
         assert!(read_frame(&mut r).unwrap().is_some());
         assert!(read_frame(&mut r).unwrap().is_none(), "loop stopped at Bye");

@@ -10,7 +10,9 @@
 #      (`crates/bench/tests/speed_ratios.rs`: production vs frozen
 #      event queue, traced vs untraced label-heavy simulation, each
 #      ratio taken inside one run) are `#[ignore]`d because debug
-#      builds make them slow or meaningless; they run here in release,
+#      builds make them slow or meaningless; they run here in release.
+#      The speed-ratio test runs on its own with `--nocapture`, so every
+#      log shows its four readings next to their floors,
 #   2. a scenario-cache smoke: the quick suite runs twice into one
 #      results directory; the second run must serve ≥90% of its
 #      simulations from the cache, reproduce every artifact
@@ -64,7 +66,7 @@
 # Every timed or served binary goes through fresh_bin first: `cargo
 # build --release` has been observed to report success while leaving a
 # stale binary behind; the guard compares the binary's mtime against
-# the source tree and forces a rebuild when it lags.
+# the sources cargo built it from and forces a rebuild when it lags.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -109,18 +111,32 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Is target/release/$1 missing, without cargo's dep-info file
+# (target/release/$1.d), or older than a source that file lists? Only
+# the binary's own sources count: cargo leaves an unchanged binary with
+# its old mtime, so a test or another binary's source edited since
+# must not read as staleness.
+bin_is_stale() {
+    local path="target/release/$1" dep="target/release/$1.d" src
+    { [ -f "$path" ] && [ -f "$dep" ]; } || return 0
+    for src in $(sed 's/^[^:]*://' "$dep"); do
+        [ "$src" -nt "$path" ] && return 0
+    done
+    return 1
+}
+
 # Guard against the stale-release-binary trap: build the specific bin,
-# then require it to be newer than every workspace source file; if not,
-# delete it and rebuild once, failing hard if it is still stale.
+# then require it to be newer than every source it is built from; if
+# not, delete it and rebuild once, failing hard if it is still stale.
 fresh_bin() {
-    local pkg="$1" bin="$2" path="target/release/$2"
+    local pkg="$1" bin="$2"
     cargo build --release -q -p "$pkg" --bin "$bin"
-    if [ -n "$(find src crates -name '*.rs' -newer "$path" 2>/dev/null | head -1)" ]; then
+    if bin_is_stale "$bin"; then
         echo "stale release binary $bin detected; forcing a rebuild"
-        rm -f "$path"
+        rm -f "target/release/$bin"
         cargo build --release -q -p "$pkg" --bin "$bin"
-        if [ -n "$(find src crates -name '*.rs' -newer "$path" 2>/dev/null | head -1)" ]; then
-            echo "FAIL: $bin is still older than the source tree after a forced rebuild"
+        if bin_is_stale "$bin"; then
+            echo "FAIL: $bin is still older than its sources after a forced rebuild"
             exit 1
         fi
     fi
@@ -143,7 +159,11 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 echo "==> cargo test --workspace --release -q -- --include-ignored"
-cargo test --workspace --release -q -- --include-ignored
+cargo test --workspace --release -q -- --include-ignored \
+    --skip speed_ratios_hold_against_in_process_references
+
+echo "==> speed ratios (release, each next to its floor)"
+cargo test --release -q -p hq-bench --test speed_ratios -- --include-ignored --nocapture
 
 echo "==> scenario-cache smoke (quick suite cold, then warm)"
 fresh_bin hq-bench all_experiments

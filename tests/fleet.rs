@@ -408,3 +408,165 @@ fn oversized_frame_gets_a_framed_error_over_tcp() {
     drop(reader);
     fleet.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// The shared front end: fresh connections and SIGTERM, against a fleet
+// (TCP) and a single `hyperq serve` (Unix socket).
+// ---------------------------------------------------------------------
+
+/// A single `hyperq serve --socket` process with its own results dir.
+struct ServerUnderTest {
+    root: PathBuf,
+    socket: PathBuf,
+    child: Child,
+}
+
+impl ServerUnderTest {
+    fn start(name: &str) -> ServerUnderTest {
+        let root = std::env::temp_dir().join(format!("hq-serve-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).expect("create test dir");
+        let socket = root.join("hq.sock");
+        let child = Command::new(env!("CARGO_BIN_EXE_hyperq"))
+            .args([
+                "serve",
+                "--socket",
+                socket.to_str().unwrap(),
+                "--workers",
+                "1",
+            ])
+            .env("HQ_RESULTS", &root)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn server");
+        let server = ServerUnderTest {
+            root,
+            socket,
+            child,
+        };
+        drop(server.client());
+        server
+    }
+
+    fn client(&self) -> Client {
+        for _ in 0..3000 {
+            if let Ok(mut c) = Client::connect(&self.socket) {
+                c.set_read_timeout(Some(Duration::from_secs(120)))
+                    .expect("read timeout");
+                return c;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("server never bound {}", self.socket.display());
+    }
+}
+
+impl Drop for ServerUnderTest {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_dir_all(&self.root);
+    }
+}
+
+/// Assert the journal at `path` ends in a seal (`S`) record.
+fn assert_journal_sealed(path: &std::path::Path) {
+    let text = std::fs::read_to_string(path).expect("read journal");
+    let last = text.lines().last().unwrap_or_default();
+    assert_eq!(
+        last.split(' ').nth(1),
+        Some("S"),
+        "{}: journal not sealed; last record: {last:?}",
+        path.display()
+    );
+}
+
+/// `kill -TERM` the process, then require a clean exit within 5 s.
+fn term_and_wait(child: &mut Child, what: &str) -> Duration {
+    let status = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill -TERM {what} failed");
+    let sent = Instant::now();
+    loop {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            assert!(status.success(), "{what} exited {status} after SIGTERM");
+            return sent.elapsed();
+        }
+        assert!(
+            sent.elapsed() < Duration::from_secs(5),
+            "{what} still running 5 s after SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn ping(client: &mut Client) {
+    assert_eq!(client.call(&Request::Ping).expect("ping"), Response::Pong);
+}
+
+/// SIGTERM wakes the blocking accept on both listener kinds: with one
+/// job done and an idle client connected, the server and the fleet
+/// coordinator each drain, seal every journal and exit 0 within 5 s.
+#[test]
+fn sigterm_drains_a_server_and_a_fleet_and_seals_their_journals() {
+    let _env = env_lock();
+    let mut server = ServerUnderTest::start("sigterm");
+    let mut fleet = FleetUnderTest::start("sigterm", 2, &[]);
+
+    let mut c = server.client();
+    assert_done_ok_identical(c.submit_and_wait(spec(61)).expect("server job"), &spec(61));
+    let mut c = fleet.client();
+    assert_done_ok_identical(c.submit_and_wait(spec(62)).expect("fleet job"), &spec(62));
+    // An idle connection each, already accepted, left open through the
+    // drain.
+    let (mut idle_server, mut idle_fleet) = (server.client(), fleet.client());
+    ping(&mut idle_server);
+    ping(&mut idle_fleet);
+
+    let server_exit = term_and_wait(&mut server.child, "hyperq serve");
+    let fleet_exit = term_and_wait(&mut fleet.child, "fleet coordinator");
+    eprintln!("SIGTERM to exit: server {server_exit:?}, fleet {fleet_exit:?}");
+    assert_journal_sealed(&server.root.join("journal/service.wal"));
+    for shard in ["shard-0", "shard-1"] {
+        fleet.assert_sealed(shard);
+    }
+    drop((idle_server, idle_fleet));
+}
+
+/// Median of `samples`, in milliseconds.
+fn median_ms(mut samples: Vec<Duration>) -> f64 {
+    samples.sort();
+    samples[samples.len() / 2].as_secs_f64() * 1e3
+}
+
+/// A fresh connection to the fleet coordinator is answered as soon as
+/// one to a single server: 20 connect→`ping`→`pong` round trips each,
+/// spaced apart and interleaved in one run, and the fleet's median may
+/// exceed the server's by at most 3 ms. (A front end that polls its
+/// listener instead of blocking in `accept` reads ~13 ms here.)
+#[test]
+fn fresh_connections_reach_a_fleet_as_fast_as_a_server() {
+    let _env = env_lock();
+    let server = ServerUnderTest::start("fresh");
+    let fleet = FleetUnderTest::start("fresh", 1, &[]);
+    let (mut to_server, mut to_fleet) = (Vec::new(), Vec::new());
+    for _ in 0..20 {
+        let t = Instant::now();
+        ping(&mut Client::connect(&server.socket).expect("connect server"));
+        to_server.push(t.elapsed());
+        std::thread::sleep(Duration::from_millis(10));
+        let t = Instant::now();
+        ping(&mut Client::connect_tcp(&fleet.addr).expect("connect fleet"));
+        to_fleet.push(t.elapsed());
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (server_ms, fleet_ms) = (median_ms(to_server), median_ms(to_fleet));
+    eprintln!("fresh connect->pong median: server {server_ms:.3} ms, fleet {fleet_ms:.3} ms");
+    assert!(
+        fleet_ms <= server_ms + 3.0,
+        "fleet median {fleet_ms:.3} ms exceeds server median {server_ms:.3} ms + 3 ms"
+    );
+}
