@@ -1,12 +1,14 @@
 //! Fleet integration tests: consistent-hash ring properties
 //! (proptest), a kill -9 of a worker mid-burst with zero accepted-job
 //! loss and byte-identical artifacts, and permanent-death rehashing
-//! with the shard surfacing in `open_circuits`.
+//! with the shard surfacing in `open_circuits`; SIGTERM drains of a
+//! server and a fleet, and fresh-connection latency of a fleet against
+//! a server.
 
 use hq_bench::service::ring::DEFAULT_VNODES;
 use hq_bench::service::{run_job_direct, Client, JobDone, JobSpec, Request, Response, Ring};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -186,34 +188,13 @@ impl FleetUnderTest {
             Response::Bye { .. } => {}
             other => panic!("expected bye, got {other:?}"),
         }
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            if let Some(status) = self.child.try_wait().expect("try_wait coordinator") {
-                assert!(status.success(), "coordinator exited {status}");
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "coordinator never exited after shutdown:\n{}",
-                self.coord_log()
-            );
-            std::thread::sleep(Duration::from_millis(50));
-        }
+        let log = self.root.join("coord.log");
+        wait_clean_exit(&mut self.child, "coordinator", Duration::from_secs(60), &log);
     }
 
     /// Assert the shard's journal ends in a seal (`S`) record.
     fn assert_sealed(&self, shard: &str) {
-        let path = self.fleet_dir.join(shard).join("journal/service.wal");
-        let text = std::fs::read_to_string(&path).expect("read shard journal");
-        let last = text.lines().last().unwrap_or_default();
-        let mut fields = last.split(' ');
-        let _crc = fields.next();
-        assert_eq!(
-            fields.next(),
-            Some("S"),
-            "{}: journal not sealed; last record: {last:?}",
-            path.display()
-        );
+        assert_journal_sealed(&self.fleet_dir.join(shard).join("journal/service.wal"));
     }
 }
 
@@ -471,7 +452,7 @@ impl Drop for ServerUnderTest {
 }
 
 /// Assert the journal at `path` ends in a seal (`S`) record.
-fn assert_journal_sealed(path: &std::path::Path) {
+fn assert_journal_sealed(path: &Path) {
     let text = std::fs::read_to_string(path).expect("read journal");
     let last = text.lines().last().unwrap_or_default();
     assert_eq!(
@@ -482,25 +463,32 @@ fn assert_journal_sealed(path: &std::path::Path) {
     );
 }
 
+/// Wait for `child` to exit 0 within `limit` and return how long it
+/// took. A timeout panics with the contents of `log`, if any.
+fn wait_clean_exit(child: &mut Child, what: &str, limit: Duration, log: &Path) -> Duration {
+    let asked = Instant::now();
+    loop {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            assert!(status.success(), "{what} exited {status}");
+            return asked.elapsed();
+        }
+        assert!(
+            asked.elapsed() < limit,
+            "{what} still running {limit:?} after being asked to stop:\n{}",
+            std::fs::read_to_string(log).unwrap_or_default()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// `kill -TERM` the process, then require a clean exit within 5 s.
-fn term_and_wait(child: &mut Child, what: &str) -> Duration {
+fn term_and_wait(child: &mut Child, what: &str, log: &Path) -> Duration {
     let status = Command::new("kill")
         .args(["-TERM", &child.id().to_string()])
         .status()
         .expect("run kill");
     assert!(status.success(), "kill -TERM {what} failed");
-    let sent = Instant::now();
-    loop {
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            assert!(status.success(), "{what} exited {status} after SIGTERM");
-            return sent.elapsed();
-        }
-        assert!(
-            sent.elapsed() < Duration::from_secs(5),
-            "{what} still running 5 s after SIGTERM"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_clean_exit(child, what, Duration::from_secs(5), log)
 }
 
 fn ping(client: &mut Client) {
@@ -526,8 +514,9 @@ fn sigterm_drains_a_server_and_a_fleet_and_seals_their_journals() {
     ping(&mut idle_server);
     ping(&mut idle_fleet);
 
-    let server_exit = term_and_wait(&mut server.child, "hyperq serve");
-    let fleet_exit = term_and_wait(&mut fleet.child, "fleet coordinator");
+    let server_exit = term_and_wait(&mut server.child, "hyperq serve", Path::new(""));
+    let fleet_log = fleet.root.join("coord.log");
+    let fleet_exit = term_and_wait(&mut fleet.child, "fleet coordinator", &fleet_log);
     eprintln!("SIGTERM to exit: server {server_exit:?}, fleet {fleet_exit:?}");
     assert_journal_sealed(&server.root.join("journal/service.wal"));
     for shard in ["shard-0", "shard-1"] {
