@@ -620,14 +620,15 @@ fn encode_body(pre: &str, out: &RunOutcome) -> String {
     let p = r.perf;
     let _ = writeln!(
         s,
-        "perf {} {:?} {:?} {} {} {} {:?}",
+        "perf {} {:?} {:?} {} {} {} {:?} {}",
         p.events,
         p.wall_secs,
         p.events_per_sec,
         p.peak_pending,
         p.cancelled,
         p.stale_cancels,
-        p.tombstone_ratio
+        p.tombstone_ratio,
+        p.refills
     );
     let f = r.faults;
     let _ = writeln!(
@@ -760,7 +761,9 @@ fn decode(text: &str, pre: &str, cfg: &RunConfig) -> Option<RunOutcome> {
     let makespan = SimTime::from_ns(c.tagged_u64("makespan")?);
     let events = c.tagged_u64("events")?;
     let p = c.tagged("perf")?;
-    if p.len() != 7 {
+    // Entries written before the refill counter existed carry seven
+    // fields; their trajectory is the same, their refill count unknown.
+    if !(7..=8).contains(&p.len()) {
         return None;
     }
     let perf = SimPerf {
@@ -771,6 +774,7 @@ fn decode(text: &str, pre: &str, cfg: &RunConfig) -> Option<RunOutcome> {
         cancelled: p[4].parse().ok()?,
         stale_cancels: p[5].parse().ok()?,
         tombstone_ratio: p[6].parse().ok()?,
+        refills: p.get(7).map_or(Some(0), |r| r.parse().ok())?,
     };
     let f = c.tagged("faults")?;
     if f.len() != 8 {

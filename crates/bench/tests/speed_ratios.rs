@@ -1,9 +1,9 @@
 //! Speed ratios taken inside one run, each against its own in-process
 //! reference, never against a number recorded on another day:
 //!
-//! * `queue.{schedule_pop,cancel_heavy,churn}` — the production
-//!   [`EventQueue`] against a frozen copy of the pre-overhaul queue on
-//!   the same three access patterns;
+//! * `queue.{schedule_pop,cancel_heavy,churn,same_instant_waves}` — the
+//!   production [`EventQueue`] against a frozen copy of the
+//!   pre-overhaul queue on the same four access patterns;
 //! * `sim.label_heavy` — a program with hundreds of distinct kernel and
 //!   buffer names simulated with tracing on against the same program
 //!   with tracing off, so a label path that allocates per span shows up
@@ -245,6 +245,29 @@ fn pattern_reschedule_churn<Q: Queue>() -> u64 {
     delivered
 }
 
+/// The GPU model's steady-wave shape: a 13-SMX device's block groups
+/// finish at one instant, and each completion re-arms its SMX one wave
+/// later, so every schedule lands on the instant of the schedule before
+/// it. A queue that keeps same-instant events in one run node pays no
+/// sift for most of these pops and schedules.
+fn pattern_same_instant_waves<Q: Queue>() -> u64 {
+    const WIDTH: u64 = 13;
+    const WAVE_NS: u64 = 7_000;
+    const EVENTS: u64 = 20_000;
+    let mut q = Q::new();
+    for smx in 0..WIDTH {
+        q.schedule_at(SimTime::from_ns(WAVE_NS), smx);
+    }
+    let mut delivered = 0;
+    while let Some((t, smx)) = q.pop() {
+        delivered += 1;
+        if delivered + WIDTH <= EVENTS {
+            q.schedule_at(t + Dur::from_ns(WAVE_NS), smx);
+        }
+    }
+    delivered
+}
+
 /// Call `f` once: its work count and wall-clock seconds.
 fn timed(f: impl FnOnce() -> u64) -> (u64, f64) {
     let t0 = Instant::now();
@@ -348,7 +371,7 @@ fn label_heavy_ratio(ceiling: f64) -> Verdict {
 fn speed_ratios_hold_against_in_process_references() {
     type Q = EventQueue<u64>;
     type F = reference::EventQueue<u64>;
-    let checks: [&dyn Fn() -> Verdict; 4] = [
+    let checks: [&dyn Fn() -> Verdict; 5] = [
         &|| {
             queue_ratio(
                 "queue.schedule_pop",
@@ -371,6 +394,14 @@ fn speed_ratios_hold_against_in_process_references() {
                 1.25,
                 pattern_reschedule_churn::<Q>,
                 pattern_reschedule_churn::<F>,
+            )
+        },
+        &|| {
+            queue_ratio(
+                "queue.same_instant_waves",
+                2.0,
+                pattern_same_instant_waves::<Q>,
+                pattern_same_instant_waves::<F>,
             )
         },
         &|| label_heavy_ratio(1.25),

@@ -20,6 +20,20 @@
 //! two cache lines of the `Vec`; sifts move elements with the same
 //! hole technique `std::collections::BinaryHeap` uses.
 //!
+//! **Runs.** Consecutive `schedule_at` calls for the same instant share
+//! one heap node: the node carries the run's head event inline and the
+//! rest in a tail buffer. A run's sequence numbers are contiguous (no
+//! other schedule call came between its members), so no other node's
+//! key lies between two members' keys: delivering the head and
+//! promoting the next member raises the node's key without breaking
+//! the heap order, and needs no sift. The run still open for appends
+//! (the one the last `schedule_at` joined) waits beside the heap and
+//! enters it when a schedule for another instant closes it, so
+//! appending never has to find a node inside the heap. A simulation
+//! whose waves of block groups finish at one instant and re-arm at
+//! one later instant pays one heap push and one heap pop per wave
+//! instead of one of each per event.
+//!
 //! Cancellation is tracked in two **bit vectors indexed by `seq`**
 //! instead of a hash set: `cancelled` marks live tombstones and
 //! `retired` marks events that have already been delivered. Sequence
@@ -32,17 +46,18 @@
 //! event (2 bits/event total, ~2.4 MB per 100 M events), which is
 //! negligible next to the heap itself for every workload we run.
 //!
-//! When tombstones exceed **one third of the heap** the queue
-//! **purges**: one O(n) retain-and-reheapify drops more than n/3
-//! entries, making the purge O(1) amortized per cancellation.
-//! Reschedule-heavy callers (the processor-sharing SMX model cancels
-//! roughly as often as it schedules) would otherwise drag an
-//! ever-growing tail of dead entries through every sift. The enforced
-//! bound is observable: [`QueueStats::tombstone_ratio`] reports the
-//! peak in-heap tombstone fraction, which the purge trigger keeps at
-//! or below ⅓.
+//! When tombstones exceed **one third of the stored events** the queue
+//! **purges**: one O(n) pass drops more than n/3 of them from their
+//! runs and re-heapifies, making the purge O(1) amortized per
+//! cancellation. Reschedule-heavy callers (the processor-sharing SMX
+//! model cancels roughly as often as it schedules) would otherwise drag
+//! an ever-growing tail of dead entries through every sift. The
+//! enforced bound is observable: [`QueueStats::tombstone_ratio`]
+//! reports the peak stored tombstone fraction, which the purge trigger
+//! keeps at or below ⅓. Every counter counts events, never nodes.
 
 use crate::time::{Dur, SimTime};
+use std::collections::VecDeque;
 
 /// Opaque handle to a scheduled event, used for cancellation.
 ///
@@ -68,16 +83,16 @@ pub struct QueueStats {
     pub stale_cancels: u64,
     /// High-water mark of live pending events.
     pub peak_pending: usize,
-    /// Peak fraction of the heap occupied by tombstones, sampled after
-    /// each cancellation's amortized-purge decision. The purge trigger
-    /// fires as soon as tombstones exceed ⅓ of the heap, so this value
-    /// never exceeds 1/3 — it measures how much dead weight sifts
-    /// actually dragged around at the worst moment.
+    /// Peak fraction of the stored events that are tombstones, sampled
+    /// after each cancellation's amortized-purge decision. The purge
+    /// trigger fires as soon as tombstones exceed ⅓ of the stored
+    /// events, so this value never exceeds 1/3 — it measures how much
+    /// dead weight the queue actually carried at the worst moment.
     pub peak_tombstone_ratio: f64,
 }
 
 impl QueueStats {
-    /// Peak in-heap tombstone fraction over the queue's lifetime — the
+    /// Peak stored tombstone fraction over the queue's lifetime — the
     /// price of lazy tombstoning. Bounded at ⅓ by the amortized purge
     /// (see the module docs); a value near the bound means the caller
     /// cancels about as often as it schedules.
@@ -110,35 +125,147 @@ impl SeqBits {
     }
 }
 
-/// A scheduled event: `(time, seq)` ordering key plus the message.
+/// Bits of [`Run::word`] below the head's sequence number; they hold
+/// the run's tail-buffer index plus one (0: no member behind the head).
+/// Sequence numbers are unique, so they alone order two words and the
+/// key compares whole words. Sequence numbers stay below 2^48 (~2.8e14
+/// events per queue).
+const TAIL_BITS: u32 = 16;
+const TAIL_MASK: u64 = (1 << TAIL_BITS) - 1;
+/// Tail buffers a node can name. When this many runs already have
+/// members behind their head, a further same-instant schedule starts a
+/// new node instead of joining a run: runs save work, they never decide
+/// the order.
+const MAX_TAILS: usize = TAIL_MASK as usize;
+
+/// One heap node: a run of events scheduled back to back for the same
+/// instant. The head — the member delivered next — sits inline; the
+/// members behind it, if any, wait in a tail buffer.
 ///
-/// Kept as two `u64`s rather than one packed `u128` — the compare is
-/// the same two instructions either way, but `u128` forces 16-byte
-/// alignment and pads a `u64`-payload node from 24 to 32 bytes, which
-/// is pure wasted heap bandwidth.
-struct Scheduled<M> {
-    /// Event time in nanoseconds.
+/// The node is `at`, one `u64` and the message: the head's seq and the
+/// tail-buffer index share `word`, so a node with a `u64` payload is 24
+/// bytes, as it was before runs existed. (A separate index field pads
+/// it to 32 bytes, and the larger node measurably slows every sift on
+/// sift-heavy patterns.)
+struct Run<M> {
+    /// Event time in nanoseconds, shared by every member.
     at: u64,
-    /// Tie-breaking sequence number (unique; FIFO among equal times).
-    seq: u64,
+    /// The head's sequence number (unique; FIFO among equal times)
+    /// above [`TAIL_BITS`] bits of tail-buffer index.
+    word: u64,
+    /// The head's message.
     msg: M,
 }
 
-impl<M> Scheduled<M> {
+impl<M> Run<M> {
     #[inline]
-    fn at(&self) -> SimTime {
-        SimTime::from_ns(self.at)
+    fn new(at: u64, seq: u64, msg: M) -> Self {
+        Run {
+            at,
+            word: seq << TAIL_BITS,
+            msg,
+        }
     }
 
+    /// The head's sequence number.
     #[inline]
     fn seq(&self) -> u64 {
-        self.seq
+        self.word >> TAIL_BITS
     }
 
-    /// Total ordering key; lexicographic `(time, seq)`.
+    /// Total ordering key: `(time, seq)` of the head, lexicographic
+    /// (the tail bits sit below the seq and never decide).
     #[inline]
     fn key(&self) -> (u64, u64) {
-        (self.at, self.seq)
+        (self.at, self.word)
+    }
+
+    /// Index of the tail buffer, if members wait behind the head.
+    #[inline]
+    fn tail(&self) -> Option<usize> {
+        match self.word & TAIL_MASK {
+            0 => None,
+            t => Some(t as usize - 1),
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, seq: u64, tail: Option<usize>) {
+        self.word = seq << TAIL_BITS | tail.map_or(0, |t| t as u64 + 1);
+    }
+}
+
+/// Tail buffers of the runs that have members behind their head,
+/// recycled through a free list so steady-state appends allocate
+/// nothing. Each entry keeps its member's own `seq`: a purge may drop
+/// cancelled members from the middle of a run.
+struct Tails<M> {
+    bufs: Vec<VecDeque<(u64, M)>>,
+    free: Vec<usize>,
+}
+
+impl<M> Tails<M> {
+    /// True when `run` can take another member: it has a tail buffer,
+    /// or one is free or can still be made.
+    #[inline]
+    fn can_grow(&self, run: &Run<M>) -> bool {
+        run.tail().is_some() || !self.free.is_empty() || self.bufs.len() < MAX_TAILS
+    }
+
+    /// Append `(seq, msg)` behind `run`'s head (see [`Tails::can_grow`]).
+    #[inline]
+    fn push(&mut self, run: &mut Run<M>, seq: u64, msg: M) {
+        let tail = match run.tail() {
+            Some(t) => t,
+            None => {
+                let t = self.free.pop().unwrap_or_else(|| {
+                    self.bufs.push(VecDeque::new());
+                    self.bufs.len() - 1
+                });
+                run.set(run.seq(), Some(t));
+                t
+            }
+        };
+        self.bufs[tail].push_back((seq, msg));
+    }
+
+    /// Replace `run`'s head with the next member and return the old
+    /// head as `(seq, msg)`; `None` when the run has no other member
+    /// (the caller then removes the run whole).
+    #[inline]
+    fn advance(&mut self, run: &mut Run<M>) -> Option<(u64, M)> {
+        let tail = run.tail()?;
+        let buf = &mut self.bufs[tail];
+        let (seq, msg) = buf.pop_front().expect("a run's tail buffer is never empty");
+        let old_seq = run.seq();
+        if buf.is_empty() {
+            self.free.push(tail);
+            run.set(seq, None);
+        } else {
+            run.set(seq, Some(tail));
+        }
+        Some((old_seq, std::mem::replace(&mut run.msg, msg)))
+    }
+
+    /// Drop `run`'s cancelled members, promoting the first live one to
+    /// head. Returns false when no member is live (the caller drops the
+    /// run; its tail buffer is already recycled).
+    #[inline]
+    fn purge(&mut self, run: &mut Run<M>, cancelled: &SeqBits) -> bool {
+        let Some(tail) = run.tail() else {
+            return !cancelled.get(run.seq());
+        };
+        self.bufs[tail].retain(|(seq, _)| !cancelled.get(*seq));
+        if self.bufs[tail].is_empty() {
+            self.free.push(tail);
+            run.set(run.seq(), None);
+        }
+        while cancelled.get(run.seq()) {
+            if self.advance(run).is_none() {
+                return false;
+            }
+        }
+        true
     }
 }
 
@@ -157,7 +284,7 @@ const D: usize = 4;
 // `ptr::read` is always resolved by the final `ptr::write`.
 
 #[inline]
-fn sift_up<M>(heap: &mut [Scheduled<M>], mut i: usize) {
+fn sift_up<M>(heap: &mut [Run<M>], mut i: usize) {
     unsafe {
         let ptr = heap.as_mut_ptr();
         let elem = std::ptr::read(ptr.add(i));
@@ -176,7 +303,7 @@ fn sift_up<M>(heap: &mut [Scheduled<M>], mut i: usize) {
 }
 
 #[inline]
-fn sift_down<M>(heap: &mut [Scheduled<M>], mut i: usize) {
+fn sift_down<M>(heap: &mut [Run<M>], mut i: usize) {
     let len = heap.len();
     unsafe {
         let ptr = heap.as_mut_ptr();
@@ -208,6 +335,15 @@ fn sift_down<M>(heap: &mut [Scheduled<M>], mut i: usize) {
     }
 }
 
+/// Where the next event in `(time, seq)` order lives.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Front {
+    /// The open run (not yet in the heap).
+    Open,
+    /// The heap's root.
+    Heap,
+}
+
 /// Deterministic future-event list.
 ///
 /// The queue also tracks the current simulation clock: [`EventQueue::now`]
@@ -215,14 +351,22 @@ fn sift_down<M>(heap: &mut [Scheduled<M>], mut i: usize) {
 /// is a logic error and panics in debug builds (clamped to `now` in
 /// release builds so a stray rounding artifact cannot wedge a long run).
 pub struct EventQueue<M> {
-    heap: Vec<Scheduled<M>>,
-    /// Live tombstones: cancelled events still sitting in the heap.
+    /// Closed runs.
+    heap: Vec<Run<M>>,
+    /// The run the last `schedule_at` call joined, while it has members
+    /// left; it enters the heap when a schedule for another instant
+    /// closes it.
+    open: Option<Run<M>>,
+    tails: Tails<M>,
+    /// Live tombstones: cancelled events still stored in some run.
     cancelled: SeqBits,
     /// Events delivered by `pop` (never set for dropped tombstones —
     /// those keep their `cancelled` bit instead).
     retired: SeqBits,
-    /// Tombstones currently in the heap (`heap.len() - live_cancelled`
-    /// is the live pending count).
+    /// Events stored in runs, tombstones included.
+    stored: usize,
+    /// Tombstones currently stored (`stored - live_cancelled` is the
+    /// live pending count).
     live_cancelled: usize,
     now: SimTime,
     next_seq: u64,
@@ -244,8 +388,14 @@ impl<M> EventQueue<M> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
+            open: None,
+            tails: Tails {
+                bufs: Vec::new(),
+                free: Vec::new(),
+            },
             cancelled: SeqBits::default(),
             retired: SeqBits::default(),
+            stored: 0,
             live_cancelled: 0,
             now: SimTime::ZERO,
             next_seq: 0,
@@ -284,7 +434,7 @@ impl<M> EventQueue<M> {
 
     /// Number of live (non-cancelled) events still pending.
     pub fn pending(&self) -> usize {
-        self.heap.len() - self.live_cancelled
+        self.stored - self.live_cancelled
     }
 
     /// True if no live events remain.
@@ -296,25 +446,37 @@ impl<M> EventQueue<M> {
     ///
     /// Panics in debug builds if `at` lies in the past; clamps to `now`
     /// in release builds.
+    #[inline]
     pub fn schedule_at(&mut self, at: SimTime, msg: M) -> EventId {
         debug_assert!(
             at >= self.now,
             "scheduled an event in the past: at={at} now={}",
             self.now
         );
-        let at = at.max(self.now);
+        let at = at.max(self.now).as_ns();
         let seq = self.next_seq;
+        assert!(
+            seq >> (64 - TAIL_BITS) == 0,
+            "event sequence numbers exhausted"
+        );
         self.next_seq += 1;
-        self.heap_push(Scheduled {
-            at: at.as_ns(),
-            seq,
-            msg,
-        });
+        self.stored += 1;
+        match &mut self.open {
+            // The open run took the previous schedule call, so no other
+            // run holds a seq between its members and this one.
+            Some(run) if run.at == at && self.tails.can_grow(run) => self.tails.push(run, seq, msg),
+            open => {
+                if let Some(closed) = open.replace(Run::new(at, seq, msg)) {
+                    self.heap_push(closed);
+                }
+            }
+        }
         self.peak_pending = self.peak_pending.max(self.pending());
         EventId(seq)
     }
 
     /// Schedule `msg` after a delay relative to the current clock.
+    #[inline]
     pub fn schedule_in(&mut self, delay: Dur, msg: M) -> EventId {
         self.schedule_at(self.now + delay, msg)
     }
@@ -338,21 +500,21 @@ impl<M> EventQueue<M> {
         self.live_cancelled += 1;
         self.cancels += 1;
         // Amortized compaction: as soon as tombstones exceed ⅓ of the
-        // heap, rebuild it without them. Each purge is O(n) but removes
-        // more than n/3 elements, so the cost is O(1) amortized per
-        // cancel — and it keeps reschedule-churn workloads (the SMX
-        // processor-sharing model cancels roughly as often as it
-        // schedules) from dragging an unbounded tail of dead entries
-        // through every sift.
-        if self.live_cancelled * 3 > self.heap.len() {
+        // stored events, rebuild the runs without them. Each purge is
+        // O(n) but removes more than n/3 events, so the cost is O(1)
+        // amortized per cancel — and it keeps reschedule-churn
+        // workloads (the SMX processor-sharing model cancels roughly as
+        // often as it schedules) from dragging an unbounded tail of
+        // dead entries through every sift.
+        if self.live_cancelled * 3 > self.stored {
             self.purge_tombstones();
         }
-        // Sample the in-heap tombstone fraction *after* the purge
-        // decision: what remains is what future sifts actually carry,
+        // Sample the stored tombstone fraction *after* the purge
+        // decision: what remains is what the queue actually carries,
         // and the trigger above caps it at ⅓ — the invariant
         // `QueueStats::tombstone_ratio` reports.
-        if !self.heap.is_empty() {
-            let ratio = self.live_cancelled as f64 / self.heap.len() as f64;
+        if self.stored > 0 {
+            let ratio = self.live_cancelled as f64 / self.stored as f64;
             if ratio > self.peak_tombstone_ratio {
                 self.peak_tombstone_ratio = ratio;
             }
@@ -360,18 +522,33 @@ impl<M> EventQueue<M> {
         true
     }
 
-    /// Drop every tombstone from the heap and re-heapify in place.
+    /// Drop every tombstone from its run, drop runs left empty, and
+    /// re-heapify in place.
     ///
     /// Does not disturb pop order: keys are unique and totally ordered,
-    /// so any valid heap over the surviving elements delivers them in
-    /// the same `(time, seq)` sequence (the property-based test
-    /// `event_queue_matches_reference_model` exercises this). The
-    /// `cancelled` bits stay set (purged tombstones are
-    /// indistinguishable from ones dropped at pop time), keeping
-    /// double-cancels reported no-ops.
+    /// so any valid heap over the surviving runs delivers them in the
+    /// same `(time, seq)` sequence, and a run that lost members keeps
+    /// every seq between its first and last member to itself (the
+    /// property-based test `event_queue_matches_reference_model`
+    /// exercises this). The `cancelled` bits stay set (purged
+    /// tombstones are indistinguishable from ones dropped at pop time),
+    /// keeping double-cancels reported no-ops.
     fn purge_tombstones(&mut self) {
-        let cancelled = &self.cancelled;
-        self.heap.retain(|ev| !cancelled.get(ev.seq));
+        let Self {
+            heap,
+            open,
+            tails,
+            cancelled,
+            ..
+        } = self;
+        heap.retain_mut(|run| tails.purge(run, cancelled));
+        if open
+            .as_mut()
+            .is_some_and(|run| !tails.purge(run, cancelled))
+        {
+            *open = None;
+        }
+        self.stored -= self.live_cancelled;
         self.live_cancelled = 0;
         let len = self.heap.len();
         if len > 1 {
@@ -381,34 +558,73 @@ impl<M> EventQueue<M> {
         }
     }
 
+    /// Which run holds the next event in `(time, seq)` order.
+    #[inline]
+    fn front(&self) -> Option<Front> {
+        match (&self.open, self.heap.first()) {
+            (Some(open), Some(root)) if root.key() < open.key() => Some(Front::Heap),
+            (Some(_), _) => Some(Front::Open),
+            (None, Some(_)) => Some(Front::Heap),
+            (None, None) => None,
+        }
+    }
+
+    /// Remove the head of the run at `front`: `(time, seq, msg)`.
+    #[inline]
+    fn take_head(&mut self, front: Front) -> (u64, u64, M) {
+        self.stored -= 1;
+        let run = match front {
+            Front::Open => self.open.as_mut(),
+            Front::Heap => self.heap.first_mut(),
+        }
+        .expect("front names a stored run");
+        let at = run.at;
+        if let Some((seq, msg)) = self.tails.advance(run) {
+            return (at, seq, msg);
+        }
+        let run = match front {
+            Front::Open => self.open.take(),
+            Front::Heap => self.heap_pop(),
+        }
+        .expect("front names a stored run");
+        (at, run.seq(), run.msg)
+    }
+
     /// Pop the next live event, advancing the clock to its timestamp.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, M)> {
-        while let Some(ev) = self.heap_pop() {
-            if self.cancelled.get(ev.seq()) {
+        while let Some(front) = self.front() {
+            let (at, seq, msg) = self.take_head(front);
+            if self.cancelled.get(seq) {
                 // Dropped tombstone; the `cancelled` bit stays set so a
                 // late cancel of this id remains a no-op.
                 self.live_cancelled -= 1;
                 continue;
             }
-            debug_assert!(ev.at() >= self.now, "event heap returned a past event");
-            self.retired.set(ev.seq());
-            self.now = ev.at();
+            let at = SimTime::from_ns(at);
+            debug_assert!(at >= self.now, "event heap returned a past event");
+            self.retired.set(seq);
+            self.now = at;
             self.popped += 1;
-            return Some((ev.at(), ev.msg));
+            return Some((at, msg));
         }
         None
     }
 
     /// Timestamp of the next live event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drain cancelled tombstones from the top so peek is accurate.
-        while let Some(top) = self.heap.first() {
-            if self.cancelled.get(top.seq()) {
-                self.heap_pop().expect("peeked element vanished");
-                self.live_cancelled -= 1;
-            } else {
-                return Some(top.at());
+        // Drain cancelled tombstones from the front so peek is accurate.
+        while let Some(front) = self.front() {
+            let head = match front {
+                Front::Open => self.open.as_ref(),
+                Front::Heap => self.heap.first(),
             }
+            .expect("front names a stored run");
+            if !self.cancelled.get(head.seq()) {
+                return Some(SimTime::from_ns(head.at));
+            }
+            self.take_head(front);
+            self.live_cancelled -= 1;
         }
         None
     }
@@ -418,14 +634,14 @@ impl<M> EventQueue<M> {
     // ------------------------------------------------------------------
 
     #[inline]
-    fn heap_push(&mut self, ev: Scheduled<M>) {
-        self.heap.push(ev);
+    fn heap_push(&mut self, run: Run<M>) {
+        self.heap.push(run);
         let last = self.heap.len() - 1;
         sift_up(&mut self.heap, last);
     }
 
     #[inline]
-    fn heap_pop(&mut self) -> Option<Scheduled<M>> {
+    fn heap_pop(&mut self) -> Option<Run<M>> {
         let last = self.heap.pop()?;
         if self.heap.is_empty() {
             return Some(last);
@@ -614,6 +830,149 @@ mod tests {
         let got: Vec<(u64, u64)> =
             std::iter::from_fn(|| q.pop()).map(|(t, m)| (t.as_ns(), m)).collect();
         assert_eq!(got, expect);
+    }
+
+    /// Schedule `n` events back to back at `at` (one run), payloads
+    /// `base..base + n`.
+    fn run_of(q: &mut EventQueue<u64>, at: u64, base: u64, n: u64) -> Vec<EventId> {
+        (base..base + n)
+            .map(|m| q.schedule_at(SimTime::from_ns(at), m))
+            .collect()
+    }
+
+    fn drain(q: &mut EventQueue<u64>) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(t, m)| (t.as_ns(), m))
+            .collect()
+    }
+
+    #[test]
+    fn back_to_back_schedules_share_one_node() {
+        let mut q = EventQueue::new();
+        run_of(&mut q, 10, 0, 5);
+        // A schedule for another instant closes the run into the heap.
+        q.schedule_at(SimTime::from_ns(5), 99);
+        assert_eq!(q.heap.len(), 1, "five same-instant events are one node");
+        assert_eq!(q.pending(), 6);
+        assert_eq!(
+            drain(&mut q),
+            vec![(5, 99), (10, 0), (10, 1), (10, 2), (10, 3), (10, 4)]
+        );
+        assert_eq!(
+            q.tails.free.len(),
+            q.tails.bufs.len(),
+            "tail buffers recycled"
+        );
+    }
+
+    #[test]
+    fn cancelling_a_runs_head_middle_and_tail() {
+        for victim in [0usize, 2, 4] {
+            let mut q = EventQueue::new();
+            let ids = run_of(&mut q, 10, 0, 5);
+            q.schedule_at(SimTime::from_ns(20), 5); // closes the run
+            assert!(q.cancel(ids[victim]));
+            assert_eq!(q.pending(), 5);
+            let want: Vec<(u64, u64)> = (0..5u64)
+                .filter(|&m| m != victim as u64)
+                .map(|m| (10, m))
+                .chain([(20, 5)])
+                .collect();
+            assert_eq!(drain(&mut q), want, "victim {victim}");
+            assert!(!q.cancel(ids[victim]), "tombstone already dropped");
+            assert_eq!(q.stats().popped, 5);
+        }
+    }
+
+    #[test]
+    fn purge_leaves_a_partial_run() {
+        let mut q = EventQueue::new();
+        let ids = run_of(&mut q, 10, 0, 6);
+        run_of(&mut q, 20, 6, 3);
+        // Three cancels of nine stored events reach ⅓ without a purge;
+        // the fourth crosses it and purges the dead members out of the
+        // first run's middle and head, leaving a partial run.
+        for &i in &[0usize, 2, 3] {
+            assert!(q.cancel(ids[i]));
+        }
+        assert_eq!((q.stored, q.live_cancelled), (9, 3));
+        assert!(q.cancel(ids[5]));
+        assert_eq!((q.stored, q.live_cancelled), (5, 0), "purged");
+        assert_eq!(q.heap.len(), 1, "the partial run stayed one node");
+        assert_eq!(q.stats().tombstone_ratio(), 1.0 / 3.0);
+        // The partial run keeps appending: the open run was purged, not
+        // closed.
+        q.schedule_at(SimTime::from_ns(20), 9);
+        assert_eq!(
+            drain(&mut q),
+            vec![(10, 1), (10, 4), (20, 6), (20, 7), (20, 8), (20, 9)]
+        );
+        assert_eq!(q.pending(), 0);
+    }
+
+    #[test]
+    fn purge_drops_a_fully_cancelled_open_run() {
+        let mut q = EventQueue::new();
+        run_of(&mut q, 10, 0, 2);
+        let ids = run_of(&mut q, 20, 2, 2);
+        q.cancel(ids[0]);
+        assert!(q.cancel(ids[1]), "second cancel crosses ⅓ and purges");
+        assert!(q.open.is_none());
+        assert_eq!(drain(&mut q), vec![(10, 0), (10, 1)]);
+    }
+
+    #[test]
+    fn peek_skips_a_cancelled_run_head() {
+        let mut q = EventQueue::new();
+        let ids = run_of(&mut q, 10, 0, 3);
+        q.schedule_at(SimTime::from_ns(30), 3); // closes the run
+        run_of(&mut q, 40, 4, 6); // keeps the tombstone below ⅓
+        assert!(q.cancel(ids[0]));
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(10)));
+        assert_eq!(q.pending(), 9);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(10), 1)));
+        assert!(q.cancel(ids[2]));
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(30)), "whole run dead");
+        assert_eq!(q.pop(), Some((SimTime::from_ns(30), 3)));
+    }
+
+    #[test]
+    fn schedule_at_the_instant_of_a_just_emptied_run() {
+        let mut q = EventQueue::new();
+        run_of(&mut q, 10, 0, 2);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(10), 0)));
+        assert_eq!(q.pop(), Some((SimTime::from_ns(10), 1)));
+        assert!(q.open.is_none(), "a fully popped run is gone");
+        // A new run at the same instant, behind a later event that was
+        // scheduled first.
+        q.schedule_at(SimTime::from_ns(15), 2);
+        run_of(&mut q, 10, 3, 2);
+        assert_eq!(drain(&mut q), vec![(10, 3), (10, 4), (15, 2)]);
+        // Same instant straight after the run emptied, nothing between.
+        run_of(&mut q, 20, 5, 1);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(20), 5)));
+        run_of(&mut q, 20, 6, 2);
+        assert_eq!(drain(&mut q), vec![(20, 6), (20, 7)]);
+        assert_eq!(q.stats().popped, 8);
+    }
+
+    /// Appends keep joining the open run while its head is delivered:
+    /// the wave pattern of the GPU model (pop one, schedule its
+    /// successor one wave later).
+    #[test]
+    fn waves_refill_one_run_per_instant() {
+        let mut q = EventQueue::new();
+        run_of(&mut q, 100, 0, 13);
+        let mut got = Vec::new();
+        while let Some((t, m)) = q.pop() {
+            got.push((t.as_ns(), m));
+            if m < 13 * 9 {
+                q.schedule_at(t + Dur::from_ns(100), m + 13);
+                assert!(q.heap.len() <= 1, "at most the closing wave is in the heap");
+            }
+        }
+        let want: Vec<(u64, u64)> = (0..13 * 10u64).map(|m| (100 * (m / 13 + 1), m)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -171,14 +171,21 @@ proptest! {
     }
 
     /// The 4-ary-heap queue pops in the exact order of a reference
-    /// binary-heap model under arbitrary schedule/cancel/pop
+    /// binary-heap model under arbitrary schedule/cancel/pop/peek
     /// interleavings, and agrees on `pending()` throughout. The model
     /// keys a `BinaryHeap` by `Reverse((time, seq))` and only honours
     /// cancellations of still-pending events — the semantics the
-    /// production queue guarantees.
+    /// production queue guarantees. About half of the schedules reuse
+    /// the previous schedule's instant (when it is not yet past), so
+    /// same-instant runs form, grow while their head is delivered, lose
+    /// heads, middles and tails to cancels and purges, and close when a
+    /// schedule for another instant arrives.
     #[test]
     fn event_queue_matches_reference_model(
-        ops in proptest::collection::vec((0u8..4, 0u64..500, any::<usize>()), 1..300),
+        ops in proptest::collection::vec(
+            (0u8..5, 0u64..500, any::<usize>(), any::<bool>()),
+            1..400,
+        ),
     ) {
         use std::cmp::Reverse;
         use std::collections::{BinaryHeap, HashSet};
@@ -191,28 +198,51 @@ proptest! {
         let mut next_seq = 0u64;
         let mut ids: Vec<(EventId, u64)> = Vec::new(); // (queue id, model seq)
         let mut payload = 0usize;
+        let mut last_at: Option<SimTime> = None;
 
-        for (op, dt, pick) in ops {
+        for (op, dt, pick, same_instant) in ops {
             match op {
                 // Schedule (twice as likely as the other ops).
                 0 | 1 => {
-                    let at = q.now() + Dur::from_ns(dt);
+                    let at = match last_at {
+                        Some(prev) if same_instant && prev >= q.now() => prev,
+                        _ => q.now() + Dur::from_ns(dt),
+                    };
+                    last_at = Some(at);
                     let id = q.schedule_at(at, payload);
                     model.push(Reverse((at.as_ns(), next_seq, payload)));
                     ids.push((id, next_seq));
                     next_seq += 1;
                     payload += 1;
                 }
-                // Cancel an arbitrary previously issued id (possibly
-                // already delivered or already cancelled).
+                // Cancel a previously issued id: half the time one of
+                // the last 16 (likely still pending, often a member of
+                // the open run), else any (possibly already delivered
+                // or already cancelled).
                 2 if !ids.is_empty() => {
-                    let (id, seq) = ids[pick % ids.len()];
+                    let i = if pick % 2 == 0 {
+                        ids.len() - 1 - (pick / 2) % ids.len().min(16)
+                    } else {
+                        pick % ids.len()
+                    };
+                    let (id, seq) = ids[i];
                     let expect = !model_dead.contains(&seq);
                     if expect {
                         model_cancelled.insert(seq);
                         model_dead.insert(seq);
                     }
                     prop_assert_eq!(q.cancel(id), expect, "cancel of seq {}", seq);
+                }
+                // Peek: the model's first live event, left in place.
+                4 => {
+                    while let Some(Reverse((_, seq, _))) = model.peek() {
+                        if !model_cancelled.remove(seq) {
+                            break;
+                        }
+                        model.pop();
+                    }
+                    let expect = model.peek().map(|Reverse((t, _, _))| *t);
+                    prop_assert_eq!(q.peek_time().map(|t| t.as_ns()), expect);
                 }
                 // Pop.
                 _ => {

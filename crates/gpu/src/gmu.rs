@@ -22,7 +22,7 @@ use crate::fault::GridFault;
 use crate::kernel::KernelInfo;
 use crate::types::{GridId, OpId, StreamId};
 use hq_des::engine::EventId;
-use hq_des::time::SimTime;
+use hq_des::time::{Dur, SimTime};
 use std::collections::VecDeque;
 
 /// Lifecycle of a launched grid.
@@ -72,6 +72,12 @@ pub struct Grid {
     pub admitted: bool,
     /// Pending watchdog event, cancelled when the grid retires.
     pub watchdog: Option<EventId>,
+    /// Blocks of this grid an empty SMX fits: the group size of the
+    /// simulator's steady-wave refill (set when the launch activates).
+    pub full_fit: u32,
+    /// Completion delay of a freshly refilled full-fit group, with the
+    /// SMX rate it was computed at.
+    pub refill_eta: Option<(f64, Dur)>,
 }
 
 impl Grid {
@@ -207,6 +213,8 @@ impl Gmu {
             fault: None,
             admitted: false,
             watchdog: None,
+            full_fit: 0,
+            refill_eta: None,
         });
         self.hw_queues[hwq].push_back(id);
         let at_head = self.hw_queues[hwq].len() == 1;
@@ -233,7 +241,6 @@ mod tests {
     use super::*;
     use crate::kernel::KernelDesc;
     use hq_des::intern::Interner;
-    use hq_des::time::Dur;
 
     fn desc(blocks: u32, tpb: u32) -> KernelInfo {
         KernelDesc::new("k", blocks, tpb, Dur::from_us(1)).compile(&mut Interner::new())

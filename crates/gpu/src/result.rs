@@ -291,9 +291,13 @@ pub struct SimPerf {
     pub cancelled: u64,
     /// Cancellations that targeted already-delivered events (no-ops).
     pub stale_cancels: u64,
-    /// Peak fraction of the queue's heap occupied by tombstones
+    /// Peak fraction of the queue's stored events that were tombstones
     /// (bounded at ⅓ by the queue's amortized purge).
     pub tombstone_ratio: f64,
+    /// `GroupDone` events the steady-wave refill served: a lone group
+    /// re-armed in place with its grid's next blocks instead of the
+    /// general retire-and-dispatch path (the trajectory is the same).
+    pub refills: u64,
 }
 
 /// Complete output of one simulation run.

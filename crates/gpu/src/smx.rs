@@ -43,6 +43,13 @@ pub struct Group {
     res_smem: u32,
 }
 
+/// Time a group with `remaining` full-rate nanoseconds of work needs
+/// at per-warp `rate`, rounded up to whole nanoseconds.
+#[inline]
+pub fn eta(remaining: f64, rate: f64) -> Dur {
+    Dur::from_ns((remaining / rate).ceil() as u64)
+}
+
 impl Group {
     /// Total warps this group keeps resident.
     pub fn warps(&self) -> u32 {
@@ -58,6 +65,17 @@ impl Group {
     pub fn threads(&self) -> u32 {
         self.res_threads
     }
+}
+
+/// A retiring group's remaining work must have drained (within a 1 ns
+/// rounding tolerance).
+fn debug_assert_drained(g: &Group) {
+    debug_assert!(
+        g.remaining < 1.0,
+        "group {} completed with {} ns of work left",
+        g.token,
+        g.remaining
+    );
 }
 
 /// One SMX unit: residency accounting plus the processor-sharing clock.
@@ -206,13 +224,38 @@ impl Smx {
     pub fn take_completed(&mut self, token: u64) -> Option<Group> {
         let idx = self.groups.iter().position(|g| g.token == token)?;
         let g = self.groups.swap_remove(idx);
-        debug_assert!(
-            g.remaining < 1.0,
-            "group {token} completed with {} ns of work left",
-            g.remaining
-        );
+        debug_assert_drained(&g);
         self.release(&g);
         Some(g)
+    }
+
+    /// The only resident group, if exactly one is resident.
+    #[inline]
+    pub fn sole_group(&self) -> Option<&Group> {
+        match self.groups.as_slice() {
+            [g] => Some(g),
+            _ => None,
+        }
+    }
+
+    /// Retire the only resident group at `now` and put a fresh group of
+    /// the same grid and size in its place under `token`, with `desc`'s
+    /// full work and no completion event yet. Residency and rate are
+    /// left exactly as they were, so this equals
+    /// [`Smx::take_completed`] followed by [`Smx::place`] of the same
+    /// blocks. The retiring group's work must have drained, as in
+    /// `take_completed`.
+    #[inline]
+    pub fn refill(&mut self, now: SimTime, token: u64, desc: &KernelInfo) -> &mut Group {
+        self.advance(now);
+        let [g] = self.groups.as_mut_slice() else {
+            panic!("refill of an SMX without exactly one group");
+        };
+        debug_assert_drained(g);
+        g.token = token;
+        g.ev = None;
+        g.remaining = desc.work_per_block.as_ns() as f64;
+        g
     }
 
     /// Remove a group regardless of progress (simulation teardown).
@@ -236,7 +279,7 @@ impl Smx {
     /// rate, rounded up to whole nanoseconds.
     pub fn eta(&self, token: u64) -> Option<Dur> {
         let g = self.groups.iter().find(|g| g.token == token)?;
-        Some(Dur::from_ns((g.remaining / self.rate()).ceil() as u64))
+        Some(eta(g.remaining, self.rate()))
     }
 
     /// Iterate over resident groups mutably (the simulator loop uses

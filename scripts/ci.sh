@@ -12,7 +12,7 @@
 #      ratio taken inside one run) are `#[ignore]`d because debug
 #      builds make them slow or meaningless; they run here in release.
 #      The speed-ratio test runs on its own with `--nocapture`, so every
-#      log shows its four readings next to their floors,
+#      log shows its five readings next to their floors,
 #   2. a scenario-cache smoke: the quick suite runs twice into one
 #      results directory; the second run must serve ≥90% of its
 #      simulations from the cache, reproduce every artifact
