@@ -149,6 +149,28 @@ fn simulated_trajectories_match_their_pins() {
     );
 }
 
+/// `GroupDone` events in one cold-mix job (seed 1): 70,332 of its
+/// 72,559 events, most of them gaussian Fan2 groups of 8 blocks alone
+/// on their SMX.
+const COLD_GROUP_DONE: u64 = 70_332;
+
+/// The simulator's steady-wave refill must keep serving most of the
+/// cold mix's group completions. It never changes a trajectory, so the
+/// pins above cannot see an edit that quietly turns it off or narrows
+/// it; this share can.
+#[test]
+fn steady_wave_refill_serves_most_cold_mix_group_completions() {
+    let cfg = RunConfig::concurrent(8).with_seed(1);
+    let specs = build_schedule(&COLD_MIX, cfg.order, cfg.seed);
+    let perf = run_schedule(&cfg, &specs).expect("cold run").result.perf;
+    assert_eq!(perf.events, 72_559, "the cold mix changed; re-measure");
+    assert!(
+        perf.refills * 4 >= COLD_GROUP_DONE * 3,
+        "refill share {} of {COLD_GROUP_DONE} GroupDone events is below 75%",
+        perf.refills
+    );
+}
+
 #[test]
 fn the_fault_scenario_exercises_hangs_aborts_and_retries() {
     let (name, cfg, kinds) = scenarios().pop().expect("fault scenario");
