@@ -57,7 +57,7 @@ pub use protocol::{
 pub use ring::Ring;
 pub use tenancy::{ServiceEstimator, TenantPolicy, TenantQueues};
 
-use crate::scenario::{run_scenario_workload, scenario_is_warm, SIM_VERSION};
+use crate::scenario::{run_workload_deferred, scenario_is_warm, EntryWrite, SIM_VERSION};
 use crate::util::codec::{esc, fnv1a};
 use crate::util::write_atomic;
 use front::Conn;
@@ -158,7 +158,8 @@ impl ServeOptions {
 // `submit --direct` byte-for-byte comparison path).
 // ---------------------------------------------------------------------
 
-pub(crate) fn config_for(spec: &JobSpec) -> RunConfig {
+/// The run configuration a spec executes under.
+pub fn config_for(spec: &JobSpec) -> RunConfig {
     let mut cfg = if spec.serial {
         RunConfig::serial()
     } else {
@@ -215,16 +216,26 @@ pub fn render_artifact(spec: &JobSpec, out: &RunOutcome) -> String {
 /// queue, no deadline, no journal). The CI crash-recovery gate compares
 /// served artifacts byte-for-byte against this.
 pub fn run_job_direct(spec: &JobSpec) -> Result<String, String> {
+    let (artifact, entry) = run_job(spec)?;
+    if let Some(entry) = entry {
+        entry.write();
+    }
+    Ok(artifact)
+}
+
+/// Run a spec to its rendered artifact and the scenario-cache entry it
+/// still owes to disk (a cache miss in disk mode).
+fn run_job(spec: &JobSpec) -> Result<(String, Option<EntryWrite>), String> {
     if spec.scripted_panic {
         return Err("scripted-panic job has no artifact".to_string());
     }
     let cfg = config_for(spec);
-    let out = run_scenario_workload(&cfg, &spec.workload).map_err(|e| e.to_string())?;
-    Ok(render_artifact(spec, &out))
+    let (out, entry) = run_workload_deferred(&cfg, &spec.workload).map_err(|e| e.to_string())?;
+    Ok((render_artifact(spec, &out), entry))
 }
 
 enum Exec {
-    Ok(String),
+    Ok(String, Option<EntryWrite>),
     Panicked(String),
     SimError(String),
 }
@@ -244,10 +255,10 @@ fn execute_spec(spec: &JobSpec) -> Exec {
         if spec.scripted_panic {
             panic!("scripted panic requested by submitter");
         }
-        run_job_direct(spec)
+        run_job(spec)
     }));
     match result {
-        Ok(Ok(artifact)) => Exec::Ok(artifact),
+        Ok(Ok((artifact, entry))) => Exec::Ok(artifact, entry),
         Ok(Err(msg)) => Exec::SimError(msg),
         Err(payload) => Exec::Panicked(panic_msg(payload.as_ref())),
     }
@@ -631,7 +642,11 @@ impl Server {
             let (done, digest) = if spec.deadline_ms.is_some() {
                 (JobDone::DeadlineExceeded, None)
             } else {
-                self::finish(&opts, id, execute_spec(&spec))
+                let (done, digest, entry) = self::finish(&opts, id, execute_spec(&spec));
+                if let Some(entry) = entry {
+                    entry.write();
+                }
+                (done, digest)
             };
             state
                 .journal
@@ -975,54 +990,74 @@ impl Server {
                 }
             };
             self.dispatches.fetch_add(1, Ordering::Relaxed);
-            let (done, exec_ms, digest) = self.execute(&job);
-            let mut g = self.lock();
-            g.running.remove(&job.id);
-            g.completed += 1;
-            let served_ms = matches!(done, JobDone::Ok { .. })
-                .then(|| job.accepted_at.elapsed().as_millis() as u64);
-            g.tenants.complete(&job.spec.tenant, served_ms);
-            if let Some(ms) = exec_ms {
-                // Feed the deadline forecast with the tenant-agnostic
-                // class: service time is a property of the scenario,
-                // not of who submitted it.
-                let class = job
-                    .spec
-                    .class
-                    .clone()
-                    .unwrap_or_else(|| job.spec.signature());
-                g.estimator.observe(&class, ms);
+            let (done, exec_ms, digest, entry) = self.execute(&job);
+            self.settle(&job, done, exec_ms, digest);
+            // The job is answered, and its outcome is in the scenario
+            // memo, so repeats and the brownout warmth probe already
+            // hit. Only now does its cache entry go to disk, off the
+            // reply path and before this worker takes its next job;
+            // shutdown joins the workers, so no entry is left unwritten
+            // at exit. A crash in between loses the entry, never
+            // corrupts it (atomic write), and a lost entry is a future
+            // miss: entries owe no durability, like the `D` marks.
+            if let Some(entry) = entry {
+                entry.write();
             }
-            let success = !matches!(done, JobDone::Panicked(_) | JobDone::SimError(_));
-            g.breakers
-                .entry(breaker_key(&job.spec))
-                .or_default()
-                .record(
-                    success,
-                    Instant::now(),
-                    self.opts.breaker_threshold,
-                    Duration::from_millis(self.opts.breaker_cooldown_ms),
-                );
-            // Done marks owe no durability (a lost `D` replays the job
-            // to a byte-identical artifact), so the mark rides to disk
-            // with the next accept commit or the shutdown seal instead
-            // of costing a worker fsync here. A failed write latches
-            // the journal failed (the guard in `done_nosync` does it);
-            // subsequent submits answer `unavailable`. The completion
-            // itself stands — a lost `D` only costs a harmless replay.
-            if let Err(e) = g.journal.done_nosync(job.id, done.code(), digest) {
-                eprintln!("service: journal done mark failed, journal sealed: {e}");
-            }
-            g.results.insert(job.id, done);
-            self.cond.notify_all();
         }
+    }
+
+    /// Record a finished job's outcome and answer its waiters.
+    fn settle(&self, job: &QueuedJob, done: JobDone, exec_ms: Option<f64>, digest: Option<u64>) {
+        let mut g = self.lock();
+        g.running.remove(&job.id);
+        g.completed += 1;
+        let served_ms = matches!(done, JobDone::Ok { .. })
+            .then(|| job.accepted_at.elapsed().as_millis() as u64);
+        g.tenants.complete(&job.spec.tenant, served_ms);
+        if let Some(ms) = exec_ms {
+            // Feed the deadline forecast with the tenant-agnostic
+            // class: service time is a property of the scenario,
+            // not of who submitted it.
+            let class = job
+                .spec
+                .class
+                .clone()
+                .unwrap_or_else(|| job.spec.signature());
+            g.estimator.observe(&class, ms);
+        }
+        let success = !matches!(done, JobDone::Panicked(_) | JobDone::SimError(_));
+        g.breakers
+            .entry(breaker_key(&job.spec))
+            .or_default()
+            .record(
+                success,
+                Instant::now(),
+                self.opts.breaker_threshold,
+                Duration::from_millis(self.opts.breaker_cooldown_ms),
+            );
+        // Done marks owe no durability (a lost `D` replays the job
+        // to a byte-identical artifact), so the mark rides to disk
+        // with the next accept commit or the shutdown seal instead
+        // of costing a worker fsync here. A failed write latches
+        // the journal failed (the guard in `done_nosync` does it);
+        // subsequent submits answer `unavailable`. The completion
+        // itself stands — a lost `D` only costs a harmless replay.
+        if let Err(e) = g.journal.done_nosync(job.id, done.code(), digest) {
+            eprintln!("service: journal done mark failed, journal sealed: {e}");
+        }
+        g.results.insert(job.id, done);
+        self.cond.notify_all();
     }
 
     /// Execute one dispatched job outside any lock, returning its
     /// outcome, `exec_ms` for the deadline estimator (None when it was
-    /// cancelled before running) and its artifact digest. The job runs
-    /// through [`execute_spec`] under its own panic guard.
-    fn execute(&self, job: &QueuedJob) -> (JobDone, Option<f64>, Option<u64>) {
+    /// cancelled before running), its artifact digest and the cache
+    /// entry it owes to disk. The job runs through [`execute_spec`]
+    /// under its own panic guard.
+    fn execute(
+        &self,
+        job: &QueuedJob,
+    ) -> (JobDone, Option<f64>, Option<u64>, Option<EntryWrite>) {
         let deadline = job
             .spec
             .deadline_ms
@@ -1030,19 +1065,24 @@ impl Server {
         let expired = || deadline.is_some_and(|d| Instant::now() >= d);
         if expired() {
             // Cancelled before it ever ran.
-            return (JobDone::DeadlineExceeded, None, None);
+            return (JobDone::DeadlineExceeded, None, None, None);
         }
         let started = Instant::now();
         let exec = execute_spec(&job.spec);
         let exec_ms = started.elapsed().as_secs_f64() * 1000.0;
-        let (done, digest) = if expired() {
+        let (done, digest, entry) = if expired() {
             // Finished too late: the result is discarded, no artifact
-            // is written.
-            (JobDone::DeadlineExceeded, None)
+            // is written. The cache entry still is: the outcome is
+            // right, only late.
+            let entry = match exec {
+                Exec::Ok(_, entry) => entry,
+                _ => None,
+            };
+            (JobDone::DeadlineExceeded, None, entry)
         } else {
             finish(&self.opts, job.id, exec)
         };
-        (done, Some(exec_ms), digest)
+        (done, Some(exec_ms), digest, entry)
     }
 
     /// Bind the socket and serve until SIGTERM or a `shutdown`
@@ -1107,12 +1147,13 @@ impl Server {
 /// Render and persist the artifact for an execution result. Returns the
 /// outcome plus, for `ok` jobs, the fnv1a digest of the artifact bytes —
 /// journaled with the `D` mark so `hyperq scrub` can verify the artifact
-/// on disk without re-executing the job.
-fn finish(opts: &ServeOptions, id: u64, exec: Exec) -> (JobDone, Option<u64>) {
+/// on disk without re-executing the job — and the cache entry the run
+/// still owes to disk.
+fn finish(opts: &ServeOptions, id: u64, exec: Exec) -> (JobDone, Option<u64>, Option<EntryWrite>) {
     match exec {
-        Exec::Panicked(msg) => (JobDone::Panicked(msg), None),
-        Exec::SimError(msg) => (JobDone::SimError(msg), None),
-        Exec::Ok(artifact) => {
+        Exec::Panicked(msg) => (JobDone::Panicked(msg), None, None),
+        Exec::SimError(msg) => (JobDone::SimError(msg), None, None),
+        Exec::Ok(artifact, entry) => {
             let path = opts.artifact_dir.join(format!("job-{id}.out"));
             let digest = fnv1a(artifact.as_bytes());
             if let Err(e) = std::fs::create_dir_all(&opts.artifact_dir)
@@ -1121,6 +1162,7 @@ fn finish(opts: &ServeOptions, id: u64, exec: Exec) -> (JobDone, Option<u64>) {
                 return (
                     JobDone::SimError(format!("write artifact {}: {e}", path.display())),
                     None,
+                    entry,
                 );
             }
             (
@@ -1128,6 +1170,7 @@ fn finish(opts: &ServeOptions, id: u64, exec: Exec) -> (JobDone, Option<u64>) {
                     artifact: path.display().to_string(),
                 },
                 Some(digest),
+                entry,
             )
         }
     }

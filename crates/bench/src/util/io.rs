@@ -395,6 +395,9 @@ mod tests {
 
     #[test]
     fn passthrough_when_no_plan_installed() {
+        // Hold the install lock throughout: a sibling test on another
+        // thread may arm a plan, and this test asserts that none is.
+        let _serialize = INSTALL.lock().unwrap_or_else(|e| e.into_inner());
         let path = tmp("passthrough");
         let mut f = open_append(&path);
         assert!(!faults_active());

@@ -279,7 +279,9 @@ impl std::error::Error for SimError {}
 /// other field is a deterministic function of the run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimPerf {
-    /// Discrete events delivered by the future-event list.
+    /// Discrete events the run handled: those the future-event list
+    /// delivered plus the [`SimPerf::skipped`] ones booked in closed
+    /// form.
     pub events: u64,
     /// Wall-clock seconds spent inside the event loop.
     pub wall_secs: f64,
@@ -298,6 +300,11 @@ pub struct SimPerf {
     /// re-armed in place with its grid's next blocks instead of the
     /// general retire-and-dispatch path (the trajectory is the same).
     pub refills: u64,
+    /// Of the refills, those booked in closed form by a lockstep-wave
+    /// skip: whole waves of a grid streaming through every SMX with
+    /// nothing else due, never scheduled nor popped. `events` counts
+    /// them, so it reads the same with or without the skip.
+    pub skipped: u64,
 }
 
 /// Complete output of one simulation run.
@@ -318,7 +325,8 @@ pub struct SimResult {
     pub active_smx: TimeSeries,
     /// DMA busy indicator (0/1) per direction over time.
     pub dma_busy: [TimeSeries; 2],
-    /// Number of discrete events processed (perf diagnostics).
+    /// Number of discrete events processed, closed-form lockstep waves
+    /// included (perf diagnostics).
     pub events: u64,
     /// Event-loop throughput counters (host wall clock; nondeterministic).
     pub perf: SimPerf,

@@ -66,7 +66,142 @@ impl PowerModel {
     /// The 0/1 "clocks ramped" indicator derived from any device
     /// activity (SMX occupancy or a busy DMA engine), extended by the
     /// clock-down hysteresis [`PowerModel::clock_hold`].
+    ///
+    /// One pass over the merged change points of the three sources,
+    /// with one cursor per series.
     pub fn activity_with_hold(&self, result: &SimResult) -> TimeSeries {
+        let mut occ = Cursor::new(&result.resident_threads);
+        let mut dma = result.dma_busy.each_ref().map(Cursor::new);
+        let mut out = TimeSeries::new();
+        let mut hold_until: Option<SimTime> = None;
+        let mut t = SimTime::ZERO;
+        loop {
+            occ.seek(t);
+            dma.iter_mut().for_each(|c| c.seek(t));
+            // A pending clock-down that landed before this stamp takes
+            // effect. The device is idle at it: the hold restarts at
+            // every idle stamp and ends at an active one, so no change
+            // point lies between the stamp that set it and this one.
+            if let Some(h) = hold_until {
+                if h < t {
+                    out.set(h, 0.0);
+                }
+            }
+            let active = occ.value() > 0.0 || dma[0].value() > 0.5 || dma[1].value() > 0.5;
+            if active {
+                out.set(t, 1.0);
+                hold_until = None;
+            } else if out.points().last().is_some_and(|&(_, v)| v > 0.0) {
+                // Activity just ended; clocks stay up for the hold
+                // window.
+                hold_until = Some(t + self.clock_hold);
+            } else {
+                out.set(t, 0.0);
+            }
+            match next_stamp(std::iter::once(&occ).chain(&dma)) {
+                Some(next) => t = next,
+                None => break,
+            }
+        }
+        if let Some(h) = hold_until {
+            if h < result.makespan {
+                out.set(h, 0.0);
+            }
+        }
+        out
+    }
+
+    /// Build the full power step-function for a finished simulation by
+    /// merging the change points of the occupancy, DMA and (held)
+    /// activity series in one pass, one cursor per series.
+    pub fn power_series(&self, result: &SimResult) -> TimeSeries {
+        let cap = result.device.max_resident_threads() as f64;
+        let activity = self.activity_with_hold(result);
+        let mut occ = Cursor::new(&result.resident_threads);
+        let mut held = Cursor::new(&activity);
+        let mut dma = result.dma_busy.each_ref().map(Cursor::new);
+        let mut out = TimeSeries::new();
+        let mut t = SimTime::ZERO;
+        loop {
+            occ.seek(t);
+            held.seek(t);
+            dma.iter_mut().for_each(|c| c.seek(t));
+            let occ_frac = occ.value() / cap.max(1.0);
+            let mut p = self.p_idle;
+            if held.value() > 0.5 {
+                p += self.p_active;
+            }
+            if occ_frac > 0.0 {
+                p += self.p_sm * occ_frac.clamp(0.0, 1.0).powf(self.alpha);
+            }
+            for c in &dma {
+                if c.value() > 0.5 {
+                    p += self.p_dma;
+                }
+            }
+            out.set(t, p);
+            match next_stamp([&occ, &held].into_iter().chain(&dma)) {
+                Some(next) => t = next,
+                None => break,
+            }
+        }
+        out
+    }
+}
+
+/// A step series read forward in time: after [`Cursor::seek`] to `t`,
+/// [`Cursor::value`] is the series' value at `t`.
+struct Cursor<'a> {
+    points: &'a [(SimTime, f64)],
+    /// Change points at or before the last instant sought.
+    passed: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(series: &'a TimeSeries) -> Self {
+        Cursor {
+            points: series.points(),
+            passed: 0,
+        }
+    }
+
+    /// Pass every change point at or before `t`.
+    #[inline]
+    fn seek(&mut self, t: SimTime) {
+        while self.points.get(self.passed).is_some_and(|&(pt, _)| pt <= t) {
+            self.passed += 1;
+        }
+    }
+
+    /// The value at the last instant sought; 0 before the first change
+    /// point.
+    #[inline]
+    fn value(&self) -> f64 {
+        self.passed.checked_sub(1).map_or(0.0, |i| self.points[i].1)
+    }
+
+    /// The first change point not yet passed.
+    #[inline]
+    fn next(&self) -> Option<SimTime> {
+        self.points.get(self.passed).map(|&(t, _)| t)
+    }
+}
+
+/// The earliest change point any cursor has not yet passed.
+fn next_stamp<'a, 'b: 'a>(cursors: impl IntoIterator<Item = &'a Cursor<'b>>) -> Option<SimTime> {
+    cursors.into_iter().filter_map(Cursor::next).min()
+}
+
+/// The sort-and-search construction the merge pass replaced: collect
+/// every change point, sort and dedup them, and look each series up by
+/// binary search at every stamp. Kept as the oracle the merge pass is
+/// compared against.
+#[cfg(test)]
+impl PowerModel {
+    /// The 0/1 "clocks ramped" indicator derived from any device
+    /// activity (SMX occupancy or a busy DMA engine), extended by the
+    /// clock-down hysteresis [`PowerModel::clock_hold`].
+    pub(crate) fn activity_with_hold_reference(&self, result: &SimResult) -> TimeSeries {
         // Collect activity on/off transitions from all three sources.
         let mut stamps: Vec<SimTime> = vec![SimTime::ZERO];
         stamps.extend(result.resident_threads.points().iter().map(|&(t, _)| t));
@@ -115,9 +250,9 @@ impl PowerModel {
     /// Build the full power step-function for a finished simulation by
     /// merging the change points of the occupancy, DMA and (held)
     /// activity series.
-    pub fn power_series(&self, result: &SimResult) -> TimeSeries {
+    pub(crate) fn power_series_reference(&self, result: &SimResult) -> TimeSeries {
         let cap = result.device.max_resident_threads() as f64;
-        let activity = self.activity_with_hold(result);
+        let activity = self.activity_with_hold_reference(result);
         let mut stamps: Vec<SimTime> = vec![SimTime::ZERO];
         stamps.extend(result.resident_threads.points().iter().map(|&(t, _)| t));
         stamps.extend(activity.points().iter().map(|&(t, _)| t));

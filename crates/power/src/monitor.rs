@@ -39,8 +39,11 @@ impl PowerMonitor {
 
     /// Sample a finished run, producing the power trace and report.
     pub fn measure(&self, result: &SimResult) -> PowerReport {
-        let series = self.model.power_series(result);
-        let end = result.makespan;
+        self.report(self.model.power_series(result), result.makespan)
+    }
+
+    /// Sample and aggregate a run's power step function up to `end`.
+    fn report(&self, series: TimeSeries, end: SimTime) -> PowerReport {
         // Always take at least one sample even for sub-period runs.
         let samples = if end <= SimTime::ZERO + self.period {
             vec![(
@@ -107,6 +110,91 @@ mod tests {
             .build();
         sim.add_app(p, s);
         sim.run().unwrap()
+    }
+
+    use hq_des::trace::TraceLog;
+    use proptest::prelude::*;
+
+    /// A step series through `set` from `(gap, value)` steps: a zero gap
+    /// overwrites the previous instant, repeated values compact away.
+    fn steps(start: u64, steps: &[(u64, f64)]) -> TimeSeries {
+        let mut ts = TimeSeries::new();
+        let mut t = start;
+        for &(gap, v) in steps {
+            t += gap;
+            ts.set(SimTime::from_ns(t), v);
+        }
+        ts
+    }
+
+    /// Every field of a report, floats as bits.
+    fn bits(r: &PowerReport) -> Vec<u64> {
+        let mut out = vec![
+            r.avg_sampled_w.to_bits(),
+            r.avg_true_w.to_bits(),
+            r.peak_w.to_bits(),
+            r.energy_j.to_bits(),
+            r.duration.as_ns(),
+        ];
+        for &(t, v) in r.series.points().iter().chain(&r.samples) {
+            out.extend([t.as_ns(), v.to_bits()]);
+        }
+        out
+    }
+
+    /// Gaps on a coarse grid, so the series often share instants, with
+    /// some longer than the 10 ms clock hold.
+    fn gap() -> impl Strategy<Value = u64> {
+        proptest::sample::select(vec![0u64, 1_000, 2_000, 50_000, 3_000_000, 12_000_000])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The merge pass builds the same power report as the
+        /// sort-and-search reference, to the bit: points, samples,
+        /// energy, averages and peak. Series share instants, start
+        /// late, go empty (DMA especially), and the last clock hold may
+        /// end past the makespan.
+        #[test]
+        fn merge_pass_matches_the_sorted_stamp_reference(
+            occ in proptest::collection::vec((gap(), proptest::sample::select(vec![0.0, 256.0, 2048.0, 26_624.0])), 0..40),
+            dma in (
+                proptest::collection::vec((gap(), proptest::sample::select(vec![0.0, 1.0])), 0..12),
+                proptest::collection::vec((gap(), proptest::sample::select(vec![0.0, 1.0])), 0..12),
+            ),
+            starts in (0u64..3, 0u64..3, 0u64..3),
+            tail in proptest::sample::select(vec![0u64, 1, 4_000_000, 25_000_000]),
+            period_ms in 1u64..16,
+        ) {
+            let start = |k: u64| k * 1_000;
+            let resident_threads = steps(start(starts.0), &occ);
+            let dma_busy = [steps(start(starts.1), &dma.0), steps(start(starts.2), &dma.1)];
+            let last = [&resident_threads, &dma_busy[0], &dma_busy[1]]
+                .iter()
+                .filter_map(|s| s.points().last().map(|&(t, _)| t.as_ns()))
+                .max()
+                .unwrap_or(0);
+            let result = SimResult {
+                device: DeviceConfig::tesla_k20(),
+                makespan: SimTime::from_ns(last + tail),
+                apps: Vec::new(),
+                trace: TraceLog::disabled(),
+                active_smx: resident_threads.clone(),
+                resident_threads,
+                dma_busy,
+                events: 0,
+                perf: SimPerf::default(),
+                faults: FaultCounters::default(),
+            };
+            let mon = PowerMonitor::with_period(PowerModel::tesla_k20(), Dur::from_ms(period_ms));
+            let reference = mon.report(mon.model.power_series_reference(&result), result.makespan);
+            prop_assert_eq!(
+                mon.model.activity_with_hold(&result).points(),
+                mon.model.activity_with_hold_reference(&result).points()
+            );
+            prop_assert_eq!(bits(&mon.measure(&result)), bits(&reference));
+        }
     }
 
     #[test]
