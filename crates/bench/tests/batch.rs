@@ -67,7 +67,7 @@ fn job_from(na: u32, fault_pm: u32, policy: u8, seed: u64) -> (RunConfig, Vec<Ap
 
 /// The deterministic part of a run's `SimPerf`: every counter but the
 /// wall clock and the rate derived from it.
-fn sim_perf(out: &RunOutcome) -> (u64, usize, u64, u64, u64, u64) {
+fn sim_perf(out: &RunOutcome) -> (u64, usize, u64, u64, u64, u64, u64) {
     let p = out.result.perf;
     (
         p.events,
@@ -76,6 +76,7 @@ fn sim_perf(out: &RunOutcome) -> (u64, usize, u64, u64, u64, u64) {
         p.stale_cancels,
         p.tombstone_ratio.to_bits(),
         p.refills,
+        p.skipped,
     )
 }
 
