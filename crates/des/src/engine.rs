@@ -629,63 +629,23 @@ impl<M> EventQueue<M> {
         None
     }
 
-    /// Look past the current instant without popping anything: call
-    /// `f` on every live event still due at [`EventQueue::now`], in no
-    /// particular order, and return the time of the first live event
-    /// after `now` (`Some(None)` when there is none). Stops with `None`
-    /// as soon as `f` rejects an event.
-    ///
-    /// Every stored run is due at `now` or later, and the runs due at
-    /// `now` sit at the top of the heap (their keys are the smallest),
-    /// so the walk visits them, plus at most one layer of later runs
-    /// below them and whatever lies beneath runs that hold only
-    /// tombstones.
-    pub fn scan_now(&self, mut f: impl FnMut(&M) -> bool) -> Option<Option<SimTime>> {
-        let now = self.now.as_ns();
-        let mut next: Option<u64> = None;
-        let mut visit = |run: &Run<M>, next: &mut Option<u64>| -> Option<bool> {
-            let live = |seq: u64| !self.cancelled.get(seq);
-            let mut members = std::iter::once((run.seq(), &run.msg)).chain(
-                run.tail()
-                    .into_iter()
-                    .flat_map(|t| self.tails.bufs[t].iter().map(|(seq, msg)| (*seq, msg))),
-            );
-            if run.at > now {
-                if members.any(|(seq, _)| live(seq)) {
-                    *next = Some(next.map_or(run.at, |n| n.min(run.at)));
-                    // Runs below this one are due no earlier.
-                    return Some(false);
-                }
-                return Some(true);
-            }
-            for (seq, msg) in members {
-                if live(seq) && !f(msg) {
-                    return None;
-                }
-            }
-            Some(true)
-        };
-        if let Some(run) = &self.open {
-            visit(run, &mut next)?;
-        }
-        // Depth-first over the heap, descending below runs due now and
-        // runs holding only tombstones; the stack holds at most a few
-        // entries per heap level.
-        let mut stack: Vec<usize> = Vec::new();
-        if !self.heap.is_empty() {
-            stack.push(0);
-        }
-        while let Some(i) = stack.pop() {
-            let run = &self.heap[i];
-            if next.is_some_and(|n| run.at >= n) {
-                continue;
-            }
-            if visit(run, &mut next)? {
-                let first = i * D + 1;
-                stack.extend(first..(first + D).min(self.heap.len()));
-            }
-        }
-        Some(next.map(SimTime::from_ns))
+    /// The instant the earliest stored event is due, tombstones
+    /// included: a lower bound on the next live event's time. Unlike
+    /// [`EventQueue::peek_time`] it drops no tombstone, so asking never
+    /// moves a later purge decision or the tombstone-ratio peak.
+    #[inline]
+    pub fn next_due(&self) -> Option<SimTime> {
+        let open = self.open.as_ref().map(|run| run.at);
+        let heap = self.heap.first().map(|run| run.at);
+        open.into_iter().chain(heap).min().map(SimTime::from_ns)
+    }
+
+    /// Raise the pending high-water mark to at least `peak`: for a
+    /// caller that books in one event a stretch of simulation it has
+    /// seen hold `peak` events pending at once.
+    #[inline]
+    pub fn raise_peak_pending(&mut self, peak: usize) {
+        self.peak_pending = self.peak_pending.max(peak);
     }
 
     // ------------------------------------------------------------------
@@ -1034,52 +994,26 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// `scan_now` sees the live events still due now, wherever they
-    /// sit (the open run or closed runs in the heap), skips tombstones
-    /// and runs holding only tombstones when it looks for the next
-    /// instant, and stops at the first event its visitor rejects.
+    /// `next_due` counts tombstones (a lower bound that drops nothing)
+    /// until a peek drops them, and `raise_peak_pending` only ever
+    /// raises the high-water mark.
     #[test]
-    fn scan_now_reports_the_current_instant_and_the_next() {
-        // The count of events visited, with the scan's result.
-        let count = |q: &EventQueue<u64>| {
-            let mut due = 0;
-            q.scan_now(|_| {
-                due += 1;
-                true
-            })
-            .map(|next| (due, next))
-        };
+    fn next_due_is_a_lower_bound_and_the_peak_only_rises() {
         let mut q = EventQueue::new();
-        run_of(&mut q, 10, 0, 3);
-        let dead = run_of(&mut q, 20, 3, 1);
-        run_of(&mut q, 30, 4, 1);
-        run_of(&mut q, 10, 5, 2); // a second run at 10, left open
-        run_of(&mut q, 40, 7, 6); // keeps the tombstones below ⅓
-        run_of(&mut q, 10, 13, 1);
-        assert_eq!(q.pop(), Some((SimTime::from_ns(10), 0)));
-        let mut seen = Vec::new();
-        let scan = q.scan_now(|&m| {
-            seen.push(m);
-            true
-        });
-        seen.sort_unstable();
-        assert_eq!(seen, vec![1, 2, 5, 6, 13]);
-        assert_eq!(scan, Some(Some(SimTime::from_ns(20))));
-        assert!(q.cancel(dead[0]));
-        assert_eq!(count(&q), Some((5, Some(SimTime::from_ns(30)))));
-        assert_eq!(
-            q.scan_now(|&m| m != 6),
-            None,
-            "a rejected event stops the scan"
-        );
-        while q.peek_time() == Some(SimTime::from_ns(10)) {
-            q.pop();
-        }
-        assert_eq!(count(&q), Some((0, Some(SimTime::from_ns(30)))));
-        q.pop();
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_ns(40));
-        assert_eq!(count(&q), Some((5, None)));
+        assert_eq!(q.next_due(), None);
+        let dead = q.schedule_at(SimTime::from_ns(10), 0);
+        q.schedule_at(SimTime::from_ns(20), 1);
+        q.schedule_at(SimTime::from_ns(5), 2);
+        assert!(q.cancel(dead));
+        assert_eq!(q.next_due(), Some(SimTime::from_ns(5)));
+        assert_eq!(q.pop(), Some((SimTime::from_ns(5), 2)));
+        assert_eq!(q.next_due(), Some(SimTime::from_ns(10)), "a tombstone");
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(20)));
+        assert_eq!(q.next_due(), Some(SimTime::from_ns(20)));
+        q.raise_peak_pending(1);
+        assert_eq!(q.stats().peak_pending, 3);
+        q.raise_peak_pending(7);
+        assert_eq!(q.stats().peak_pending, 7);
     }
 
     #[test]

@@ -180,8 +180,8 @@ proptest! {
     /// same-instant runs form, grow while their head is delivered, lose
     /// heads, middles and tails to cancels and purges, and close when a
     /// schedule for another instant arrives. Each peek also checks
-    /// `scan_now`: the live events still due at the current instant and
-    /// the time of the first live event after it.
+    /// `next_due`: no later than the first live event, never before the
+    /// current instant, and exact while no tombstone is stored.
     #[test]
     fn event_queue_matches_reference_model(
         ops in proptest::collection::vec(
@@ -237,6 +237,8 @@ proptest! {
                 }
                 // Peek: the model's first live event, left in place.
                 4 => {
+                    // No tombstone stored anywhere: `next_due` is exact.
+                    let exact = model_cancelled.is_empty();
                     while let Some(Reverse((_, seq, _))) = model.peek() {
                         if !model_cancelled.remove(seq) {
                             break;
@@ -244,25 +246,16 @@ proptest! {
                         model.pop();
                     }
                     let expect = model.peek().map(|Reverse((t, _, _))| *t);
-                    // Look past the current instant first: the live
-                    // events still due now, and the first one after.
-                    let now = q.now().as_ns();
-                    let live = model
-                        .iter()
-                        .map(|Reverse(e)| e)
-                        .filter(|(_, seq, _)| !model_cancelled.contains(seq));
-                    let mut due_now: Vec<usize> =
-                        live.clone().filter(|(t, _, _)| *t == now).map(|&(_, _, m)| m).collect();
-                    due_now.sort_unstable();
-                    let after = live.filter(|(t, _, _)| *t > now).map(|&(t, _, _)| t).min();
-                    let mut seen = Vec::new();
-                    let scan = q.scan_now(|&m| {
-                        seen.push(m);
-                        true
-                    });
-                    seen.sort_unstable();
-                    prop_assert_eq!(scan.map(|next| next.map(|t| t.as_ns())), Some(after));
-                    prop_assert_eq!(&seen, &due_now);
+                    // The stored lower bound, before the peek drops
+                    // any tombstone.
+                    let due = q.next_due().map(|t| t.as_ns());
+                    if let Some(first) = expect {
+                        prop_assert!(due.is_some_and(|d| d <= first), "{:?} after {}", due, first);
+                    }
+                    prop_assert!(due.is_none_or(|d| d >= q.now().as_ns()));
+                    if exact {
+                        prop_assert_eq!(due, expect);
+                    }
                     prop_assert_eq!(q.peek_time().map(|t| t.as_ns()), expect);
                 }
                 // Pop.

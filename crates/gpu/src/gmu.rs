@@ -78,11 +78,6 @@ pub struct Grid {
     /// Completion delay of a freshly refilled full-fit group, with the
     /// SMX rate it was computed at.
     pub refill_eta: Option<(f64, Dur)>,
-    /// The simulator's last lockstep-wave decision for this grid: the
-    /// instant it was taken and how many whole waves each refilled
-    /// group books at once (1: none skipped). The other members of the
-    /// same wave reuse it.
-    pub lockstep: Option<(SimTime, u32)>,
 }
 
 impl Grid {
@@ -220,7 +215,6 @@ impl Gmu {
             watchdog: None,
             full_fit: 0,
             refill_eta: None,
-            lockstep: None,
         });
         self.hw_queues[hwq].push_back(id);
         let at_head = self.hw_queues[hwq].len() == 1;

@@ -280,8 +280,7 @@ impl std::error::Error for SimError {}
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimPerf {
     /// Discrete events the run handled: those the future-event list
-    /// delivered plus the [`SimPerf::skipped`] ones booked in closed
-    /// form.
+    /// delivered plus the [`SimPerf::skipped`] ones a replay booked.
     pub events: u64,
     /// Wall-clock seconds spent inside the event loop.
     pub wall_secs: f64,
@@ -300,10 +299,11 @@ pub struct SimPerf {
     /// re-armed in place with its grid's next blocks instead of the
     /// general retire-and-dispatch path (the trajectory is the same).
     pub refills: u64,
-    /// Of the refills, those booked in closed form by a lockstep-wave
-    /// skip: whole waves of a grid streaming through every SMX with
-    /// nothing else due, never scheduled nor popped. `events` counts
-    /// them, so it reads the same with or without the skip.
+    /// Events of solo-grid episodes booked by a replay: a grid running
+    /// alone on an idle device that repeats one already simulated in
+    /// the run is booked in one event, and the episode's other events
+    /// are never scheduled nor popped. `events` counts them, so it
+    /// reads the same with or without the replay.
     pub skipped: u64,
 }
 
@@ -325,8 +325,8 @@ pub struct SimResult {
     pub active_smx: TimeSeries,
     /// DMA busy indicator (0/1) per direction over time.
     pub dma_busy: [TimeSeries; 2],
-    /// Number of discrete events processed, closed-form lockstep waves
-    /// included (perf diagnostics).
+    /// Number of discrete events processed, replayed ones included
+    /// (perf diagnostics).
     pub events: u64,
     /// Event-loop throughput counters (host wall clock; nondeterministic).
     pub perf: SimPerf,

@@ -57,6 +57,9 @@ enum Ev {
     /// Watchdog check: kill `grid` if it completed no block since the
     /// check was armed (`mark` is the completed-block count back then).
     WatchdogFire { grid: GridId, mark: u32 },
+    /// A replayed solo grid's recorded episode ends (see
+    /// [`GpuSim::replay`]).
+    SoloDone(GridId),
 }
 
 /// Device-side operation kinds held in the op arena. `Copy` all the way
@@ -79,6 +82,41 @@ struct OpState {
     kind: OpKind,
     /// Interned trace label; resolved to a string only at boundaries.
     label: Symbol,
+}
+
+/// What running one grid alone on an idle device did, from its
+/// `GridReady` to the end of the handler that finished it: recorded
+/// the first time such a grid runs, replayed in one event by later
+/// grids of the same launch (see [`GpuSim::replay`]).
+struct Episode {
+    desc: KernelInfo,
+    full_fit: u32,
+    span: Dur,
+    /// Every occupancy sample: offset from the start, resident threads,
+    /// active SMXs.
+    samples: Vec<(Dur, u32, u32)>,
+    /// Group tokens handed out, refills served and events delivered.
+    tokens: u64,
+    refills: u64,
+    events: u64,
+    /// Most events pending at once beyond those pending at the start,
+    /// before the handler that finished the grid.
+    peak_pending: usize,
+}
+
+/// An episode being recorded, with the counters it started from.
+struct Recording {
+    gid: GridId,
+    t0: SimTime,
+    /// When the handler running the grid's `finish_grid` is done.
+    finished: Option<SimTime>,
+    samples: Vec<(Dur, u32, u32)>,
+    peak_pending: usize,
+    start_tokens: u64,
+    start_refills: u64,
+    start_events: u64,
+    start_pending: usize,
+    start_cancels: (u64, u64),
 }
 
 /// The simulator. See the module docs for an end-to-end example.
@@ -111,19 +149,25 @@ pub struct GpuSim {
     audit: Auditor,
     /// `GroupDone` events served by the steady-wave refill.
     refills: u64,
-    /// Of those, the ones booked in closed form by a lockstep-wave
-    /// skip: never scheduled nor popped, counted in `events`.
+    /// Events of replayed solo-grid episodes that were never scheduled
+    /// nor popped, counted in `events`.
     skipped: u64,
+    /// Recorded solo-grid episodes, and the one being recorded.
+    episodes: Vec<Episode>,
+    recording: Option<Recording>,
+    /// Launches (kernel, full fit) already seen ready to run solo; a
+    /// launch is recorded only once it is in here.
+    seen_solo: Vec<(KernelInfo, u32)>,
     #[cfg(test)]
     sabotage: Sabotage,
     /// Test-only switch for the steady-wave refill: off, every
     /// `GroupDone` takes the general path (the equivalence oracle).
     #[cfg(test)]
     steady_refill: bool,
-    /// Test-only switch for the lockstep-wave skip: off, every refill
-    /// books one wave (the equivalence oracle).
+    /// Test-only switch for the solo-grid replay: off, no episode is
+    /// recorded or replayed (the equivalence oracle).
     #[cfg(test)]
-    lockstep_skip: bool,
+    solo_replay: bool,
     // Scratch buffers reused across dispatch() calls so the per-event
     // hot path performs no allocations once they reach steady size.
     scratch_fits: Vec<(usize, u32)>,
@@ -201,12 +245,15 @@ impl GpuSim {
             audit: Auditor::off(),
             refills: 0,
             skipped: 0,
+            episodes: Vec::new(),
+            recording: None,
+            seen_solo: Vec::new(),
             #[cfg(test)]
             sabotage: Sabotage::None,
             #[cfg(test)]
             steady_refill: true,
             #[cfg(test)]
-            lockstep_skip: true,
+            solo_replay: true,
             scratch_fits: Vec::new(),
             scratch_touched: Vec::new(),
             occ_threads: 0,
@@ -240,8 +287,8 @@ impl GpuSim {
     }
 
     #[cfg(test)]
-    pub(crate) fn set_lockstep_skip(&mut self, on: bool) {
-        self.lockstep_skip = on;
+    pub(crate) fn set_solo_replay(&mut self, on: bool) {
+        self.solo_replay = on;
     }
 
     /// Install a fault plan (see [`crate::fault`]). Call before
@@ -389,7 +436,7 @@ impl GpuSim {
             .max()
             .unwrap_or(SimTime::ZERO);
         let qs = self.q.stats();
-        let events = qs.popped + self.skipped;
+        let events = self.events();
         let [htod, dtoh] = self.engines;
         Ok(SimResult {
             device: self.dev,
@@ -450,12 +497,22 @@ impl GpuSim {
     // Event handling
     // ------------------------------------------------------------------
 
+    /// Events delivered so far: popped plus replayed.
+    fn events(&self) -> u64 {
+        self.q.popped() + self.skipped
+    }
+
     fn handle(&mut self, ev: Ev) {
         if self.audit.is_on() {
             // Time monotonicity + transition-ring context; the closure
             // keeps the Debug formatting off the unaudited hot path.
             let now = self.q.now();
             self.audit.on_event(now, || format!("{ev:?}"));
+        }
+        // Only the recorded grid's own completions may run inside its
+        // episode.
+        if self.recording.is_some() && !matches!(ev, Ev::GroupDone { .. }) {
+            self.recording = None;
         }
         match ev {
             Ev::ThreadStart(app) => {
@@ -473,6 +530,10 @@ impl GpuSim {
             Ev::GroupDone { smx, token } => self.on_group_done(smx as usize, token),
             Ev::CopyFault(op) => self.on_copy_fault(op),
             Ev::WatchdogFire { grid, mark } => self.on_watchdog_fire(grid, mark),
+            Ev::SoloDone(grid) => self.finish_grid(grid),
+        }
+        if self.recording.is_some() {
+            self.note_recording();
         }
     }
 
@@ -811,6 +872,23 @@ impl GpuSim {
             return;
         }
         self.arm_watchdog(gid);
+        if self.runs_solo(gid) {
+            let grid = &self.gmu.grids[gid.index()];
+            let launch = (grid.desc, grid.full_fit);
+            match self
+                .episodes
+                .iter()
+                .position(|e| (e.desc, e.full_fit) == launch)
+            {
+                Some(i) if self.replay(gid, i) => return,
+                Some(_) => {}
+                // A launch is recorded the second time it runs solo: one
+                // that never repeats (each of needle's diagonals) would
+                // pay for a recording nothing replays.
+                None if self.seen_solo.contains(&launch) => self.record(gid),
+                None => self.seen_solo.push(launch),
+            }
+        }
         match self.dev.admission {
             AdmissionPolicy::Lazy => {
                 self.gmu.dispatchable.push_back(gid);
@@ -822,6 +900,128 @@ impl GpuSim {
             }
         }
         self.dispatch();
+    }
+
+    /// True when the ready grid `gid` will run alone on an idle device:
+    /// lazy admission, no auditor, no fault or watchdog on the grid, no
+    /// group resident, and nothing else dispatchable or waiting for
+    /// admission. What it then does depends only on its launch and the
+    /// device, so an episode recorded for one such grid holds for every
+    /// later one of the same launch, shifted in time.
+    fn runs_solo(&self, gid: GridId) -> bool {
+        #[cfg(test)]
+        if !self.solo_replay {
+            return false;
+        }
+        let grid = &self.gmu.grids[gid.index()];
+        self.dev.admission == AdmissionPolicy::Lazy
+            && !self.audit.is_on()
+            && grid.fault.is_none()
+            && grid.watchdog.is_none()
+            && self.occ_active == 0
+            && self.gmu.dispatchable.is_empty()
+            && self.admission_wait.is_empty()
+    }
+
+    /// Start recording the episode of the solo grid `gid`, which the
+    /// normal path then runs. The recording is stored by
+    /// [`GpuSim::note_recording`] once the handler that finishes the
+    /// grid returns, and dropped if any other event runs first or
+    /// anything is cancelled meanwhile.
+    fn record(&mut self, gid: GridId) {
+        let qs = self.q.stats();
+        self.recording = Some(Recording {
+            gid,
+            t0: self.q.now(),
+            finished: None,
+            samples: Vec::new(),
+            peak_pending: 0,
+            start_tokens: self.group_token,
+            start_refills: self.refills,
+            start_events: self.events(),
+            start_pending: self.q.pending(),
+            start_cancels: (qs.cancelled, qs.stale_cancels),
+        });
+    }
+
+    /// End-of-handler step of a recording: track the pending peak
+    /// (nothing is cancelled inside a kept episode, so the count only
+    /// rises within a handler) and, once the grid has finished, store
+    /// the episode. The finishing handler is left out of the peak: by
+    /// then every group has retired, and what `finish_grid` schedules
+    /// (the successor's `GridReady`, sync waiters' `HostResume`s, the
+    /// stream's next op) depends on state outside the episode; a
+    /// replay's `SoloDone` schedules it for real, and the queue counts
+    /// it then.
+    fn note_recording(&mut self) {
+        let pending = self.q.pending();
+        let Some(rec) = &mut self.recording else {
+            return;
+        };
+        let Some(end) = rec.finished else {
+            rec.peak_pending = rec
+                .peak_pending
+                .max(pending.saturating_sub(rec.start_pending));
+            return;
+        };
+        let rec = self.recording.take().expect("recording checked above");
+        // A solo grid holds at most one group per SMX, so nothing is
+        // cancelled inside its episode. Should that change, a replay
+        // must not skip a cancellation.
+        let qs = self.q.stats();
+        if (qs.cancelled, qs.stale_cancels) != rec.start_cancels {
+            return;
+        }
+        let grid = &self.gmu.grids[rec.gid.index()];
+        let episode = Episode {
+            desc: grid.desc,
+            full_fit: grid.full_fit,
+            span: end - rec.t0,
+            samples: rec.samples,
+            tokens: self.group_token - rec.start_tokens,
+            refills: self.refills - rec.start_refills,
+            events: self.events() - rec.start_events,
+            peak_pending: rec.peak_pending,
+        };
+        self.episodes.push(episode);
+    }
+
+    /// Replay episode `i` for the solo grid `gid`, when nothing is due
+    /// before the episode ends: book the grid as run, issue the
+    /// episode's occupancy samples and counters, and
+    /// schedule one [`Ev::SoloDone`] at the episode's end, whose
+    /// handler finishes the grid as the episode's last handler did.
+    /// Nothing else can run inside the window, so nobody can tell the
+    /// difference. A stored tombstone due inside the window blocks the
+    /// replay too: `EventQueue::next_due` counts them, because dropping
+    /// one early would move a later purge decision. Returns false,
+    /// having touched nothing, when the window is not clear.
+    fn replay(&mut self, gid: GridId, i: usize) -> bool {
+        let now = self.q.now();
+        let e = &self.episodes[i];
+        let end = now + e.span;
+        if self.q.next_due().is_some_and(|next| next <= end) {
+            return false;
+        }
+        let grid = &mut self.gmu.grids[gid.index()];
+        grid.first_dispatch = Some(now);
+        grid.completed_blocks = grid.to_dispatch;
+        grid.to_dispatch = 0;
+        grid.outstanding = 0;
+        for &(offset, threads, active) in &e.samples {
+            self.resident_threads.set(now + offset, f64::from(threads));
+            self.active_smx.set(now + offset, f64::from(active));
+        }
+        // Every SMX is idle, rescheduled at rate 1.0 by its last
+        // retirement; the episode leaves each one so, as it found it.
+        debug_assert!(self.smxs.iter().all(|s| s.is_idle() && s.sched_rate == 1.0));
+        self.group_token += e.tokens;
+        self.refills += e.refills;
+        self.skipped += e.events - 1;
+        let peak = self.q.pending() + e.peak_pending;
+        self.q.schedule_at(end, Ev::SoloDone(gid));
+        self.q.raise_peak_pending(peak);
+        true
     }
 
     /// Conservative-fit gate: admit waiting grids FIFO while their *sum
@@ -1093,11 +1293,6 @@ impl GpuSim {
     /// event. The audit hooks see the same retirement and placement in
     /// the same order. Returns false, having touched nothing, when any
     /// condition fails.
-    ///
-    /// When the whole device runs this grid in lockstep and nothing
-    /// else is due for a while, the group books `K` whole waves at once
-    /// (see [`GpuSim::lockstep_waves`]): `K` completions and refills,
-    /// and one completion event `K` refill delays later.
     fn refill_in_place(&mut self, now: SimTime, si: usize, token: u64) -> bool {
         #[cfg(test)]
         if !self.steady_refill {
@@ -1132,32 +1327,19 @@ impl GpuSim {
                 eta
             }
         };
-        let waves = match grid.lockstep {
-            Some((at, waves)) if at == now => waves,
-            _ => {
-                let waves = self.lockstep_waves(now, si, gid, blocks, eta);
-                self.gmu.grids[gid.index()].lockstep = Some((now, waves));
-                // The general path would hand out one token per refill,
-                // wave by wave: skip to the tokens of the last wave.
-                self.group_token += u64::from(waves - 1) * self.smxs.len() as u64;
-                waves
-            }
-        };
         let new_token = self.group_token;
         self.group_token += 1;
-        let grid = &mut self.gmu.grids[gid.index()];
         debug_assert!(grid.first_dispatch.is_some());
-        // Each wave retires `blocks` and places as many again, so
+        // The group retires `blocks` and places as many again, so
         // `outstanding` stays as it is.
-        let booked = waves * blocks;
-        grid.completed_blocks += booked;
-        grid.to_dispatch -= booked;
+        grid.completed_blocks += blocks;
+        grid.to_dispatch -= blocks;
         if grid.to_dispatch == 0 {
             self.gmu.dispatchable.pop_front();
         }
         let g = self.smxs[si].refill(now, new_token, &grid.desc);
         g.ev = Some(self.q.schedule_in(
-            Dur::from_ns(eta.as_ns() * u64::from(waves)),
+            eta,
             Ev::GroupDone {
                 smx: si as u32,
                 token: new_token,
@@ -1165,63 +1347,8 @@ impl GpuSim {
         ));
         self.audit_group_complete(now, si, token);
         self.audit_dispatch(now, si, new_token, gid, blocks);
-        self.refills += u64::from(waves);
-        self.skipped += u64::from(waves - 1);
+        self.refills += 1;
         true
-    }
-
-    /// How many whole waves a refilling group of `gid` (`blocks` per
-    /// SMX, refill delay `eta`) may book at `now`: `K ≥ 2` when the
-    /// device is in lockstep on this grid and nothing can observe the
-    /// waves in between, else 1. Lockstep means every SMX holds exactly
-    /// one group, of this grid and this size, and the live events still
-    /// due at `now` are exactly the completions of the other SMXs'
-    /// groups: each of them then refills at `now`, again one `eta`
-    /// later, and so on, touching nothing but its own SMX and the
-    /// grid's counters. `K` waves must leave the grid enough blocks
-    /// (`K · n · blocks ≤ to_dispatch`) and end strictly before the
-    /// next live event, so no handler runs inside the window. Audited
-    /// runs never skip: the auditor would see every wave.
-    fn lockstep_waves(&self, now: SimTime, si: usize, gid: GridId, blocks: u32, eta: Dur) -> u32 {
-        #[cfg(test)]
-        if !self.lockstep_skip {
-            return 1;
-        }
-        let n = self.smxs.len();
-        if self.audit.is_on() || eta == Dur::ZERO || n > 64 {
-            return 1;
-        }
-        let by_blocks = self.gmu.grids[gid.index()].to_dispatch / (n as u32 * blocks);
-        if by_blocks < 2 {
-            return 1;
-        }
-        let smxs = &self.smxs;
-        let mut seen = 0u64;
-        let scan = self.q.scan_now(|ev| match *ev {
-            Ev::GroupDone { smx, token } => {
-                let s = smx as usize;
-                let member = s != si
-                    && smxs[s]
-                        .sole_group()
-                        .is_some_and(|g| g.token == token && g.grid == gid && g.blocks == blocks);
-                seen |= 1 << s;
-                member
-            }
-            _ => false,
-        });
-        let Some(next) = scan else {
-            return 1;
-        };
-        // Every live event due now is a member, one per other SMX.
-        let others = (u64::MAX >> (64 - n)) & !(1 << si);
-        if seen != others {
-            return 1;
-        }
-        let by_time = next.map_or(u64::MAX, |next| {
-            (next - now).as_ns().saturating_sub(1) / eta.as_ns()
-        });
-        // At least 1; with `by_blocks ≥ 2` below `u32::MAX`.
-        u64::from(by_blocks).min(by_time).max(1) as u32
     }
 
     fn finish_grid(&mut self, gid: GridId) {
@@ -1237,6 +1364,11 @@ impl GpuSim {
         let watchdog = grid.watchdog.take();
         if let Some(ev) = watchdog {
             self.q.cancel(ev);
+        }
+        if let Some(rec) = &mut self.recording {
+            if rec.gid == gid {
+                rec.finished = Some(now);
+            }
         }
         self.audit.on_grid_finished(now, gid);
         self.trace
@@ -1407,6 +1539,10 @@ impl GpuSim {
         );
         self.resident_threads.set(now, self.occ_threads as f64);
         self.active_smx.set(now, self.occ_active as f64);
+        if let Some(rec) = &mut self.recording {
+            rec.samples
+                .push((now - rec.t0, self.occ_threads, self.occ_active as u32));
+        }
     }
 }
 
@@ -1553,16 +1689,16 @@ mod tests {
     }
 
     /// One program run three ways: the general path alone, with the
-    /// steady-wave refill, and with the refill and its lockstep-wave
-    /// skip (the default).
+    /// steady-wave refill, and with the refill and the solo-grid replay
+    /// (the default).
     struct Ways {
         general: String,
         refill: String,
-        skip: String,
+        replay: String,
         /// Refills of the refill-only run.
         refills: u64,
         /// Refills and skipped events of the default run.
-        skip_refills: u64,
+        replay_refills: u64,
         skipped: u64,
     }
 
@@ -1574,33 +1710,34 @@ mod tests {
             };
             let mut sim = build();
             sim.set_steady_refill(false);
+            sim.set_solo_replay(false);
             let general = sim.run();
-            assert_eq!(counts(&general), (0, 0), "the switch turns the path off");
+            assert_eq!(counts(&general), (0, 0), "the switches turn both paths off");
             let mut sim = build();
-            sim.set_lockstep_skip(false);
+            sim.set_solo_replay(false);
             let refill = sim.run();
             let (refills, none) = counts(&refill);
-            assert_eq!(none, 0, "the switch turns the skip off");
-            let skip = build().run();
-            let (skip_refills, skipped) = counts(&skip);
+            assert_eq!(none, 0, "the switch turns the replay off");
+            let replay = build().run();
+            let (replay_refills, skipped) = counts(&replay);
             Ways {
                 general: fingerprint(&general),
                 refill: fingerprint(&refill),
-                skip: fingerprint(&skip),
+                replay: fingerprint(&replay),
                 refills,
-                skip_refills,
+                replay_refills,
                 skipped,
             }
         }
 
-        /// All three runs are one run, and the skip books exactly the
+        /// All three runs are one run, and the replay books exactly the
         /// refills it replaces.
         fn assert_exact(&self) {
             assert_eq!(self.refill, self.general, "refill vs general path");
-            assert_eq!(self.skip, self.general, "lockstep skip vs general path");
+            assert_eq!(self.replay, self.general, "solo replay vs general path");
             assert_eq!(
-                self.skip_refills, self.refills,
-                "refill count with the skip"
+                self.replay_refills, self.refills,
+                "refill count with the replay"
             );
         }
     }
@@ -1629,7 +1766,7 @@ mod tests {
         // 2 × 1024 blocks in groups of 8: 256 group completions, of
         // which all but the last wave of each grid refill.
         assert_eq!(ways.refills, 2 * (128 - 13));
-        assert_eq!(ways.skipped, 0, "audited runs never skip");
+        assert_eq!(ways.skipped, 0, "audited runs never replay");
     }
 
     /// A grid queued behind a streaming one waits for the stream's last
@@ -1662,79 +1799,239 @@ mod tests {
         assert_eq!(ways.refills, 115 + 2);
     }
 
-    /// A streaming grid on one stream (1024 blocks of 256 threads: 13
-    /// SMXs × 8 blocks a wave, a 56 µs wave from 4 µs on) while a host
-    /// thread on another stream works for `host_work_us` from its 20 µs
-    /// start and then launches a grid that must wait for the stream's
-    /// last wave. Unaudited and jitter-free, so the skip may fire.
-    fn streaming_beside_a_late_launch(host_work_us: u64) -> GpuSim {
+    /// Gaussian's shape, jitter-free: one stream launches a 3-wave grid
+    /// (312 blocks of 256 threads: 13 SMXs × 8 blocks a wave) twice and
+    /// syncs, `PAIRS` times, while a host thread on a second stream,
+    /// started 20 µs in, works for `poke` and then for a second. The
+    /// poke never touches the device, so it moves no replay but the one
+    /// whose window it falls in. The first grid of a pair is ready 4 µs
+    /// after its launch call, and the host's next call lands 1 µs into
+    /// its run; the second grid is ready once the first finishes and
+    /// runs alone while the host waits in the sync. So the second grid
+    /// of the first pair records its episode, and that of each later
+    /// pair replays it, unless the poke is due inside its window.
+    fn repeats_beside_a_poke(poke: Dur) -> GpuSim {
         let mut sim = GpuSim::new(DeviceConfig::tesla_k20(), HostConfig::deterministic(), 9);
         let streams = sim.create_streams(2);
-        let stream = Program::builder("stream")
-            .launch(KernelDesc::new("fan2", 1024u32, 256u32, Dur::from_us(7)))
-            .sync()
+        let poke = Program::builder("poke")
+            .host_work(poke)
+            .host_work(Dur::from_secs(1))
             .build();
-        let late = Program::builder("late")
-            .host_work(Dur::from_us(host_work_us))
-            .launch(KernelDesc::new("wide", 26u32, 512u32, Dur::from_us(5)))
-            .sync()
-            .build();
-        sim.add_app(stream, streams[0]);
-        sim.add_app(late, streams[1]);
+        sim.add_app(pairs(), streams[0]);
+        sim.add_app(poke, streams[1]);
         sim
     }
 
-    /// The host launch lands inside the window the first lockstep wave
-    /// (at 60 µs) would book: at 256 µs, three and a half waves later.
-    /// The skip books three waves, stops strictly before the launch,
-    /// and the run is the general path's to the byte.
-    #[test]
-    fn a_host_launch_inside_a_lockstep_window_cuts_it_short() {
-        let ways = Ways::of(|| streaming_beside_a_late_launch(236));
-        ways.assert_exact();
-        assert_eq!(ways.refills, 115 + 2);
-        // Two waves skipped in the window before the launch, then
-        // three of the four full waves left once `wide` is queued.
-        assert_eq!(ways.skipped, 13 * 2 + 13 * 3);
+    /// The pairs of `repeats_beside_a_poke`.
+    fn pairs() -> Program {
+        let mut b = Program::builder("repeat");
+        for _ in 0..PAIRS {
+            let fan2 = KernelDesc::new("fan2", 312u32, 256u32, Dur::from_us(7));
+            b = b.launch(fan2.clone()).launch(fan2).sync();
+        }
+        b.build()
     }
 
-    /// The host launch lands exactly on a wave instant (340 µs, five
-    /// waves after the first lockstep wave at 60 µs): the window ends
-    /// one wave before it, the wave at 340 µs pops behind the launch's
-    /// event, and the run is the general path's to the byte.
-    #[test]
-    fn a_host_launch_on_a_wave_instant_ends_the_window_one_wave_early() {
-        let ways = Ways::of(|| streaming_beside_a_late_launch(320));
-        ways.assert_exact();
-        assert_eq!(ways.refills, 115 + 2);
-        // Three waves skipped in the window cut short by the launch,
-        // then one in the last two full waves after it.
-        assert_eq!(ways.skipped, 13 * 3 + 13);
+    /// The kernel spans of a run's stream `lane`, in start order.
+    fn kernel_spans(r: &SimResult, lane: u32) -> Vec<(SimTime, SimTime)> {
+        r.trace
+            .lane_spans(lane)
+            .iter()
+            .filter(|s| s.kind == SpanKind::Kernel)
+            .map(|s| (s.start, s.end))
+            .collect()
     }
 
-    /// Cases of `steady_wave_refill_matches_the_general_path`, and how
-    /// many of them must take the lockstep-wave skip.
-    const EXACT_CASES: u32 = 96;
-    const SKIP_SHARE_PERCENT: u32 = 40;
+    const PAIRS: u64 = 4;
+
+    /// Events one 312-block episode delivers: 13 first-wave groups, 26
+    /// refills and 13 last-wave groups.
+    const EPISODE_EVENTS: u64 = 39;
+
+    /// The repeats' kernel spans in a run whose poke comes long after
+    /// them, and the poke's start.
+    fn repeat_windows() -> (Vec<(SimTime, SimTime)>, SimTime) {
+        let r = repeats_beside_a_poke(Dur::from_secs(1))
+            .run()
+            .expect("probe run");
+        (
+            kernel_spans(&r, 0),
+            r.apps[1].started.expect("poke started"),
+        )
+    }
+
+    /// With the poke out of the way, the second grid of each pair
+    /// after the first replays the first pair's: `PAIRS - 1` episodes'
+    /// events, less one popped `SoloDone` each. Every grid refills 26
+    /// times, replayed or not.
+    #[test]
+    fn repeats_of_a_solo_grid_replay_its_first_episode() {
+        let ways = Ways::of(|| repeats_beside_a_poke(Dur::from_secs(1)));
+        ways.assert_exact();
+        assert_eq!(ways.refills, 2 * PAIRS * 26);
+        assert_eq!(ways.skipped, (PAIRS - 1) * (EPISODE_EVENTS - 1));
+    }
+
+    /// A poke due inside the third pair's replay window, exactly at its
+    /// end, or 1 ns after it. Inside, the poke's event lands
+    /// mid-episode and the grid must take the general path. At the
+    /// end, the poke's event would pop before the episode's last one,
+    /// so the window is not clear either. Just after, the grid
+    /// replays. Each run is the general path's to the byte.
+    #[test]
+    fn a_poke_inside_or_at_the_end_of_a_replay_window_blocks_it() {
+        let (windows, started) = repeat_windows();
+        assert_eq!(windows.len() as u64, 2 * PAIRS);
+        let (start, end) = windows[5];
+        let skipped = |at: SimTime| {
+            let ways = Ways::of(|| repeats_beside_a_poke(at - started));
+            ways.assert_exact();
+            ways.skipped
+        };
+        let all = (PAIRS - 1) * (EPISODE_EVENTS - 1);
+        let one_less = all - (EPISODE_EVENTS - 1);
+        let inside = start + Dur::from_ns((end - start).as_ns() / 2);
+        assert_eq!(skipped(end + Dur::from_ns(1)), all, "just after the window");
+        assert_eq!(skipped(end), one_less, "exactly at the window's end");
+        assert_eq!(skipped(inside), one_less, "inside the window");
+    }
+
+    /// A replay whose window holds more pending events than its
+    /// recording did, and more than any other moment of the run: the
+    /// pairs alone, started 1 ms in, beside a thread that works from
+    /// the start until 4 µs before the last pair's first grid finishes,
+    /// returns from its closing sync 5 µs later, in the 4 µs before the
+    /// second grid is ready, and then starts four sleepers, due 1 ms
+    /// later, long after the last replay ends. The replay must raise
+    /// the queue's pending peak itself.
+    #[test]
+    fn a_replay_books_the_pending_peak_of_its_episode() {
+        let build = |work: Dur| {
+            let host = HostConfig {
+                thread_launch_stagger: Dur::from_ms(1),
+                ..HostConfig::deterministic()
+            };
+            let mut sim = GpuSim::new(DeviceConfig::tesla_k20(), host, 9);
+            let streams = sim.create_streams(2);
+            let waker = Program::builder("waker").host_work(work).build();
+            let waker = sim.add_app(waker, streams[1]);
+            sim.add_app(pairs(), streams[0]);
+            for i in 0..4 {
+                let sleeper = Program::builder(format!("sleeper{i}"))
+                    .host_work(Dur::from_secs(1))
+                    .build();
+                let app = sim.add_app(sleeper, streams[1]);
+                sim.set_start_after(app, waker);
+            }
+            sim
+        };
+        let probe = build(Dur::from_secs(1)).run().expect("probe run");
+        let (_, last_first_end) = kernel_spans(&probe, 0)[6];
+        let work = (last_first_end - SimTime::ZERO) - Dur::from_us(4);
+        let ways = Ways::of(|| build(work));
+        ways.assert_exact();
+        assert_eq!(ways.skipped, (PAIRS - 1) * (EPISODE_EVENTS - 1));
+    }
+
+    /// A replay whose finish schedules less than its recording's did,
+    /// on Fermi's single hardware queue. Each round launches a 60 µs
+    /// `hold` grid and a 2-block `solo` grid behind it in one stream,
+    /// and syncs; `solo` runs alone. Round one only shows the launch
+    /// to the sim. In round two, 2 µs after `hold` ends, `x` from a
+    /// second stream enters the hardware queue behind `solo`, whose
+    /// 1 µs run then ends before that thread's next call, and a waiter
+    /// thread syncs on the first stream: the recorded finish schedules
+    /// three events (`x`'s `GridReady` and two `HostResume`s) where
+    /// the groups had two pending. Round three, once two 1 s sleepers
+    /// have started, replays it: nothing queues behind `solo` and only
+    /// its own thread waits, so the finish schedules one. Counting
+    /// round two's finish in the episode's peak would book one more
+    /// event pending than the run ever holds.
+    #[test]
+    fn a_replay_leaves_its_recordings_finish_out_of_the_pending_peak() {
+        let build = |wait: Dur| {
+            let mut sim = GpuSim::new(DeviceConfig::fermi_like(), HostConfig::deterministic(), 4);
+            let streams = sim.create_streams(2);
+            let round = |b: crate::program::ProgramBuilder| {
+                b.launch(KernelDesc::new("hold", 1u32, 256u32, Dur::from_us(60)))
+                    .launch(KernelDesc::new("solo", 2u32, 256u32, Dur::from_us(1)))
+                    .sync()
+            };
+            let solo = round(Program::builder("solo")).host_work(Dur::from_us(100));
+            let solo = round(solo).host_work(Dur::from_us(200));
+            sim.add_app(round(solo).build(), streams[0]);
+            let behind = Program::builder("behind")
+                .host_work(wait)
+                .launch(KernelDesc::new("x", 1u32, 256u32, Dur::from_us(3)))
+                .sync()
+                .build();
+            let behind = sim.add_app(behind, streams[1]);
+            let waiter = Program::builder("waiter")
+                .host_work(Dur::from_us(150))
+                .sync()
+                .build();
+            sim.add_app(waiter, streams[0]);
+            for i in 0..2 {
+                let sleeper = Program::builder(format!("sleeper{i}"))
+                    .host_work(Dur::from_secs(1))
+                    .build();
+                let sleeper = sim.add_app(sleeper, streams[1]);
+                sim.set_start_after(sleeper, behind);
+            }
+            sim
+        };
+        let probe = build(Dur::from_secs(1)).run().expect("probe run");
+        let (_, hold_end) = kernel_spans(&probe, 0)[2];
+        let started = probe.apps[1].started.expect("behind started");
+        let wait = (hold_end + Dur::from_us(2)) - started;
+        let r = build(wait).run().expect("run");
+        let order: Vec<_> = r.trace.spans().iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(
+            order,
+            ["hold", "solo", "hold", "solo", "x", "hold", "solo"],
+            "x runs behind the second solo"
+        );
+        let ways = Ways::of(|| build(wait));
+        ways.assert_exact();
+        // `solo`'s third grid replays its second: two groups, one
+        // popped `SoloDone`.
+        assert_eq!(ways.skipped, 1);
+    }
+
+    /// Cases of `refill_and_replay_match_the_general_path`, and the
+    /// share of the cases open to the replay (no auditor, no fault
+    /// plan, lazy admission) that must replay a solo grid.
+    const EXACT_CASES: u32 = 384;
+    const REPLAY_SHARE_PERCENT: u32 = 25;
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(EXACT_CASES))]
 
-        /// The steady-wave refill and its lockstep-wave skip are exact:
+        /// The steady-wave refill and the solo-grid replay are exact:
         /// random small multi-stream programs — co-resident grids,
         /// memsync mutexes, lazy and conservative-fit admission,
-        /// scripted aborts and hangs, K20, K40 and Fermi, audit on in a
-        /// quarter of the cases (audited runs never skip) — produce the
-        /// same run on the general path, with the refill, and with the
-        /// refill and the skip. Half the grids are drawn big enough to
-        /// stream through the device in several full-fit waves, and the
-        /// skip must fire in at least [`SKIP_SHARE_PERCENT`]% of the
-        /// cases.
+        /// scripted aborts and hangs, K20, K40 and Fermi; audit and
+        /// conservative fit each in a quarter of the cases, a fault
+        /// plan with a watchdog in about two thirds — produce the same
+        /// run on the general path, with the refill, and with the
+        /// refill and the replay.
+        /// Half the grids are drawn big enough to stream through the
+        /// device in several full-fit waves. Each case adds gaussian's
+        /// shape on a stream of its own: 2–3 rounds of one kernel
+        /// launched 1–3 times and a sync (the last grid of a round runs
+        /// while its host waits in the sync, so it may run alone, and
+        /// then replay in the next round). In a jitter-free case a host
+        /// thread on another stream may launch a grid from inside one
+        /// of those launches' windows, exactly at its end, or 1 ns
+        /// after it (read off a probe run). The replay must fire in at
+        /// least [`REPLAY_SHARE_PERCENT`]% of the cases open to it, and
+        /// never with the auditor on, a fault plan, or conservative-fit
+        /// admission.
         #[test]
-        fn steady_wave_refill_matches_the_general_path(
+        fn refill_and_replay_match_the_general_path(
             device in 0usize..3,
             flags in (
-                proptest::prelude::any::<bool>(),
+                0u8..4,
                 proptest::prelude::any::<bool>(),
                 proptest::prelude::any::<bool>(),
                 0u8..4,
@@ -1758,13 +2055,33 @@ mod tests {
                 ),
                 1..5,
             ),
+            repeat in (
+                (
+                    proptest::prop_oneof![1u32..400, 400u32..2400],
+                    0usize..5,
+                    1u64..40,
+                    0u32..24,
+                    8u32..64,
+                ),
+                1usize..4,
+                2usize..6,
+            ),
+            poke in (0u8..4, 0usize..8),
             faults in proptest::collection::vec((proptest::prelude::any::<bool>(), 0u32..5, 0u32..3), 0..3),
         ) {
             use std::sync::atomic::{AtomicU32, Ordering};
             static CASES: AtomicU32 = AtomicU32::new(0);
-            static SKIPPED: AtomicU32 = AtomicU32::new(0);
-            let (conservative, memsync, jitter, audit) = (flags.0, flags.1, flags.2, flags.3 == 0);
-            let build = || {
+            static OPEN: AtomicU32 = AtomicU32::new(0);
+            static REPLAYED: AtomicU32 = AtomicU32::new(0);
+            let (conservative, memsync, jitter, audit, faulty) =
+                (flags.0 == 0, flags.1, flags.2, flags.3 == 0, !faults.is_empty());
+            let kernel = |name: String, (blocks, tpb, work_us, smem_kb, regs): (u32, usize, u64, u32, u32)| {
+                KernelDesc::new(name, blocks, [64u32, 128, 256, 512, 1024][tpb], Dur::from_us(work_us))
+                    .with_smem(smem_kb << 10)
+                    .with_regs(regs)
+            };
+            // The poke's host work; `None` leaves it out.
+            let build = |poke: Option<Dur>| {
                 let mut dev = [
                     DeviceConfig::tesla_k20(),
                     DeviceConfig::tesla_k40(),
@@ -1779,25 +2096,32 @@ mod tests {
                 } else {
                     HostConfig::deterministic()
                 };
-                if !faults.is_empty() {
+                if faulty {
                     host = host.with_watchdog(Dur::from_us(500));
                 }
                 let mut sim = GpuSim::new(dev, host, seed);
-                let ids = sim.create_streams(streams);
+                let ids = sim.create_streams(streams + 2);
                 let m = sim.create_mutex();
+                let mut b = Program::builder("repeat").htod(64 << 10, "in");
+                for _ in 0..repeat.2 {
+                    for _ in 0..repeat.1 {
+                        b = b.launch(kernel("rep".into(), repeat.0));
+                    }
+                    b = b.sync();
+                }
+                sim.add_app(b.dtoh(64 << 10, "out").build(), ids[streams as usize]);
+                if let Some(work) = poke {
+                    let poke = Program::builder("poke")
+                        .host_work(work)
+                        .launch(KernelDesc::new("poke", 2u32, 128u32, Dur::from_us(3)))
+                        .sync()
+                        .build();
+                    sim.add_app(poke, ids[streams as usize + 1]);
+                }
                 for (i, (kernels, kb, sync)) in apps.iter().enumerate() {
                     let mut b = Program::builder(format!("app{i}")).htod(kb << 10, "in");
-                    for (k, &(blocks, tpb, work_us, smem_kb, regs)) in kernels.iter().enumerate() {
-                        b = b.launch(
-                            KernelDesc::new(
-                                format!("k{k}"),
-                                blocks,
-                                [64u32, 128, 256, 512, 1024][tpb],
-                                Dur::from_us(work_us),
-                            )
-                            .with_smem(smem_kb << 10)
-                            .with_regs(regs),
-                        );
+                    for (k, &desc) in kernels.iter().enumerate() {
+                        b = b.launch(kernel(format!("k{k}"), desc));
                     }
                     if *sync {
                         b = b.sync();
@@ -1806,34 +2130,57 @@ mod tests {
                     if memsync {
                         program = program.with_htod_mutex(m, true);
                     }
-                    sim.add_app(program, ids[i % ids.len()]);
+                    sim.add_app(program, ids[i % streams as usize]);
                 }
-                let mut plan = FaultPlan::none();
-                for &(hang, app, nth) in &faults {
-                    let kind = if hang { FaultKind::KernelHang } else { FaultKind::KernelFault };
-                    plan = plan.with_fault(kind, AppId(app % apps.len() as u32), nth);
+                if faulty {
+                    let apps = sim.threads.len() as u32;
+                    let mut plan = FaultPlan::none();
+                    for &(hang, app, nth) in &faults {
+                        let kind = if hang { FaultKind::KernelHang } else { FaultKind::KernelFault };
+                        plan = plan.with_fault(kind, AppId(app % apps), nth);
+                    }
+                    sim.set_fault_plan(plan);
                 }
-                sim.set_fault_plan(plan);
                 if audit {
                     sim.enable_audit();
                 }
                 sim
             };
-            let ways = Ways::of(build);
+            // Place the poke against a repeat's window in a probe run
+            // whose poke comes long after everything.
+            let far = Dur::from_secs(10);
+            let poke = match poke.0 {
+                0 => None,
+                _ if jitter => None,
+                mode => build(Some(far)).run().ok().and_then(|r| {
+                    let windows = &kernel_spans(&r, streams)[1..];
+                    let &(start, end) = windows.get(poke.1 % windows.len().max(1))?;
+                    let at = match mode {
+                        1 => start + Dur::from_ns((end - start).as_ns() / 2),
+                        2 => end,
+                        _ => end + Dur::from_ns(1),
+                    };
+                    let started = r.apps[1].started?;
+                    (at > started).then(|| at - started)
+                }),
+            };
+            let ways = Ways::of(|| build(Some(poke.unwrap_or(far))));
             ways.assert_exact();
-            if audit {
-                proptest::prop_assert_eq!(ways.skipped, 0, "audited runs never skip");
+            let open = !(audit || faulty || conservative);
+            if !open {
+                proptest::prop_assert_eq!(ways.skipped, 0, "replayed with audit, faults or conservative fit");
             }
             let cases = CASES.fetch_add(1, Ordering::Relaxed) + 1;
-            let skipped = SKIPPED.fetch_add(u32::from(ways.skipped > 0), Ordering::Relaxed)
-                + u32::from(ways.skipped > 0);
+            OPEN.fetch_add(u32::from(open), Ordering::Relaxed);
+            REPLAYED.fetch_add(u32::from(ways.skipped > 0), Ordering::Relaxed);
             // The shim runs every case in order on one thread: after
             // the last one, check the share (a `PROPTEST_CASES` cap
             // below the full count skips the check).
             if cases == EXACT_CASES {
+                let (open, replayed) = (OPEN.load(Ordering::Relaxed), REPLAYED.load(Ordering::Relaxed));
                 proptest::prop_assert!(
-                    skipped * 100 >= cases * SKIP_SHARE_PERCENT,
-                    "the skip fired in {skipped} of {cases} cases"
+                    replayed * 100 >= open * REPLAY_SHARE_PERCENT,
+                    "the replay fired in {replayed} of {open} open cases"
                 );
             }
         }

@@ -103,6 +103,7 @@ cleanup() {
     [ -n "$SMOKE_SNAP" ] && rm -rf "$SMOKE_SNAP"
     [ -n "$SMOKE_LOG" ] && rm -f "$SMOKE_LOG"
     [ -n "$SVC_DIR" ] && rm -rf "$SVC_DIR"
+    [ -n "$THR_DIR" ] && rm -rf "$THR_DIR"
     [ -n "$FLEET_TMP" ] && rm -rf "$FLEET_TMP"
     [ -n "$OVL_DIR" ] && rm -rf "$OVL_DIR"
     [ -n "$TOR_DIR" ] && rm -rf "$TOR_DIR"

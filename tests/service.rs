@@ -1086,6 +1086,150 @@ fn kill_nine_inside_commit_window_never_acked_the_lost_record() {
     );
 }
 
+/// A `hyperq serve` child, SIGKILLed when dropped, so a failing test
+/// leaves no server behind.
+struct ServeChild(std::process::Child);
+
+impl Drop for ServeChild {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Spawn `hyperq serve` with one worker on `socket`, its journal,
+/// artifacts and scenario cache under `root`.
+fn spawn_serve(root: &Path, socket: &Path) -> ServeChild {
+    let child = std::process::Command::new(env!("CARGO_BIN_EXE_hyperq"))
+        .args([
+            "serve",
+            "--socket",
+            socket.to_str().unwrap(),
+            "--workers",
+            "1",
+        ])
+        .env("HQ_RESULTS", root)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn hyperq serve");
+    ServeChild(child)
+}
+
+/// A client of the server on `socket`, which may still be replaying
+/// its journal (a debug build replays a cold job in well under the
+/// 30 s allowed).
+fn connect_patiently(socket: &Path) -> Client {
+    let t0 = Instant::now();
+    loop {
+        if let Ok(c) = Client::connect(socket) {
+            return c;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "server never bound {}",
+            socket.display()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A server SIGKILLed the moment a cold job's `Done` reaches the client
+/// dies before, during or after writing the job's scenario-cache entry
+/// (the write follows the reply). Whichever it was, `hyperq scrub`
+/// finds the stores clean, and a restarted server answers `wait` on the
+/// job with the bytes `hyperq submit --direct` prints. Five rounds, each
+/// with a fresh directory and seed; whether the entry reached the disk
+/// is a race, so the test reports how often it did not and asserts
+/// nothing about it.
+#[test]
+fn kill_nine_after_done_scrubs_clean_and_restart_serves_the_direct_artifact() {
+    const ROUNDS: u64 = 5;
+    let _env = env_lock();
+    let hyperq = env!("CARGO_BIN_EXE_hyperq");
+    let mut missing = 0;
+    for round in 0..ROUNDS {
+        let dirs = TestDirs::new(&format!("done-kill9-{round}"));
+        let socket = dirs.root.join("svc.sock");
+        let seed = 700 + round;
+        let spec = JobSpec {
+            workload: vec![
+                AppKind::Gaussian,
+                AppKind::Needle,
+                AppKind::Knearest,
+                AppKind::Srad,
+            ],
+            streams: 8,
+            seed,
+            ..JobSpec::default()
+        };
+
+        let server = spawn_serve(&dirs.root, &socket);
+        let mut client = connect_patiently(&socket);
+        let id = match client.call(&Request::Submit(spec)).expect("submit") {
+            Response::Accepted(id) => id,
+            other => panic!("expected accepted, got {other:?}"),
+        };
+        match client.call(&Request::Wait(id)).expect("wait") {
+            Response::Done(_, JobDone::Ok { .. }) => {}
+            other => panic!("job {id} failed: {other:?}"),
+        }
+        drop(server); // SIGKILL
+        let entries = std::fs::read_dir(dirs.root.join(".scenario-cache"))
+            .map(|d| {
+                d.filter(|e| {
+                    e.as_ref()
+                        .is_ok_and(|e| !e.path().to_string_lossy().ends_with(".tmp"))
+                })
+                .count()
+            })
+            .unwrap_or(0);
+        if entries == 0 {
+            missing += 1;
+        }
+
+        let scrub = std::process::Command::new(hyperq)
+            .arg("scrub")
+            .env("HQ_RESULTS", &dirs.root)
+            .output()
+            .expect("run hyperq scrub");
+        assert!(
+            scrub.status.success(),
+            "round {round}: scrub after the kill found damage:\n{}{}",
+            String::from_utf8_lossy(&scrub.stdout),
+            String::from_utf8_lossy(&scrub.stderr)
+        );
+
+        let mut server = spawn_serve(&dirs.root, &socket);
+        let mut client = connect_patiently(&socket);
+        let served = match client.call(&Request::Wait(id)).expect("wait after restart") {
+            Response::Done(_, JobDone::Ok { artifact }) => {
+                std::fs::read(artifact).expect("artifact")
+            }
+            other => panic!("round {round}: job {id} after restart: {other:?}"),
+        };
+        match client.call(&Request::Shutdown).expect("shutdown") {
+            Response::Bye { .. } => {}
+            other => panic!("expected bye, got {other:?}"),
+        }
+        let _ = server.0.wait();
+
+        let seed = seed.to_string();
+        let direct = std::process::Command::new(hyperq)
+            .args(["submit", "--direct", "-w", "gaussian+needle+knearest+srad"])
+            .args(["--streams", "8", "--seed", seed.as_str()])
+            .env("HQ_RESULTS", dirs.root.join("direct"))
+            .output()
+            .expect("run hyperq submit --direct");
+        assert!(direct.status.success(), "submit --direct failed");
+        assert!(
+            served == direct.stdout,
+            "round {round}: served artifact differs from submit --direct"
+        );
+    }
+    eprintln!("scenario-cache entry missing after the kill in {missing} of {ROUNDS} rounds");
+}
+
 /// Dispatch preserves the tenancy contract under `tenant_max_inflight
 /// 2` with three workers, so the cap can bind: `alpha` queues six
 /// multi-second jobs and `beta` two, and once `beta` is drained three
