@@ -348,15 +348,16 @@ fn main() {
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     let jobs_per_sec = latencies.len() as f64 / wall.max(1e-9);
     // One status call after the burst surfaces the server's batching
-    // and group-commit counters alongside the client-side figures.
-    let status = connect(&o)
-        .and_then(|mut c| c.call(&Request::Status))
-        .ok()
-        .and_then(|r| match r {
-            Response::Status(s) => Some(s),
-            _ => None,
-        })
-        .unwrap_or_default();
+    // and group-commit counters alongside the client-side figures. A
+    // failed call is fatal: zeroed counters would read as a perfect
+    // fsync ratio.
+    let status = match connect(&o).and_then(|mut c| c.call(&Request::Status)) {
+        Ok(Response::Status(s)) => s,
+        other => {
+            eprintln!("loadgen: status call failed: {other:?}");
+            std::process::exit(1);
+        }
+    };
     let fsyncs_per_accept = if status.accepts > 0 {
         status.fsyncs as f64 / status.accepts as f64
     } else {

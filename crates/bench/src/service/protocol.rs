@@ -4,9 +4,12 @@
 //! The grammar is pinned by wire compatibility (a fleet coordinator,
 //! its shard workers and every client must agree on every byte), so
 //! the protocol is the crate's line codec
-//! ([`crate::util::codec`]), not JSON: every payload is a single line of
+//! ([`crate::util::codec`]): every payload is a single line of
 //! space-separated tokens whose string-valued fields are percent-escaped
-//! with [`esc`]. A frame is
+//! with [`esc`]. The one exception is the `status` answer, whose payload
+//! after `status ` is one compact [`hq_des::json`] object
+//! ([`StatusReport::to_json`]), so the report grows by named fields
+//! rather than positional slots. A frame is
 //!
 //! ```text
 //! <decimal payload length>\n<payload bytes>
@@ -18,6 +21,7 @@
 //! and payloads produce `Err(String)` describing the problem.
 
 use crate::util::codec::{esc, unesc};
+use hq_des::json::{parse_json, Json};
 use hq_workloads::apps::AppKind;
 use hyperq_core::harness::MemsyncMode;
 use hyperq_core::ordering::ScheduleOrder;
@@ -25,7 +29,7 @@ use std::io::{BufRead, Write};
 
 /// Protocol magic + version prefix on every payload. Bump the digit if
 /// the request/response grammar changes incompatibly.
-pub const MAGIC: &str = "hq1";
+pub const MAGIC: &str = "hq2";
 
 /// Upper bound on a single frame payload; anything larger is rejected
 /// before allocation, so a corrupt length prefix cannot OOM the
@@ -38,14 +42,6 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// journals replay unchanged (the `tenant=` token is *optional* on
 /// decode; see the schema-bump rule in DESIGN §5i).
 pub const DEFAULT_TENANT: &str = "default";
-
-/// Escape a string for embedding inside a comma/colon-structured wire
-/// field (the per-tenant status section): [`esc`] plus `:` and `,`.
-/// [`unesc`] already decodes any `%XX`, so no matching decoder is
-/// needed.
-fn esc_field(s: &str) -> String {
-    esc(s).replace(':', "%3A").replace(',', "%2C")
-}
 
 // ---------------------------------------------------------------------
 // Framing.
@@ -553,8 +549,9 @@ pub struct StatusReport {
     /// Jobs dispatched to a worker, one per wakeup.
     pub dispatches: u64,
     /// Jobs dispatched across all wakeups. Always equal to
-    /// `dispatches` now that a wakeup takes one job; kept in its wire
-    /// slot so existing readers of the status frame still parse it.
+    /// `dispatches` now that a wakeup takes one job. It stays only
+    /// because perfbench's `service.batch_occupancy` reads it; both go
+    /// together in a benchmark change (ROADMAP item 11).
     pub dispatched_jobs: u64,
     /// Submits journaled and answered `accepted`.
     pub accepts: u64,
@@ -585,6 +582,90 @@ pub struct StatusReport {
     /// scenario is served from the disk cache (or re-simulated) next
     /// time, byte-identical.
     pub memo_evictions: u64,
+}
+
+impl TenantStat {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("tenant", self.tenant.as_str().into()),
+            ("queued", self.queued.into()),
+            ("running", self.running.into()),
+            ("served", self.served.into()),
+            ("shed", self.shed.into()),
+            ("p99_ms", self.p99_ms.into()),
+        ])
+    }
+
+    fn from_json(j: &Json) -> Result<TenantStat, String> {
+        Ok(TenantStat {
+            tenant: j.str_field("tenant")?.to_string(),
+            queued: j.num("queued")?,
+            running: j.num("running")?,
+            served: j.num("served")?,
+            shed: j.num("shed")?,
+            p99_ms: j.num("p99_ms")?,
+        })
+    }
+}
+
+impl StatusReport {
+    /// The report as one object, one field per struct field; the
+    /// `status` answer carries its [`Json::compact`] form.
+    pub fn to_json(&self) -> Json {
+        let circuits = self.open_circuits.iter().map(|c| c.as_str().into());
+        let tenants = self.tenants.iter().map(TenantStat::to_json);
+        Json::obj([
+            ("queued", self.queued.into()),
+            ("running", self.running.into()),
+            ("completed", self.completed.into()),
+            ("rejected", self.rejected.into()),
+            ("shed", self.shed.into()),
+            ("open_circuits", Json::Arr(circuits.collect())),
+            ("tenants", Json::Arr(tenants.collect())),
+            ("dispatches", self.dispatches.into()),
+            ("dispatched_jobs", self.dispatched_jobs.into()),
+            ("accepts", self.accepts.into()),
+            ("fsyncs", self.fsyncs.into()),
+            ("window_flushes", self.window_flushes.into()),
+            ("solo_flushes", self.solo_flushes.into()),
+            ("cache_corrupt", self.cache_corrupt.into()),
+            ("dedup_hits", self.dedup_hits.into()),
+            ("memo_entries", self.memo_entries.into()),
+            ("memo_bytes", self.memo_bytes.into()),
+            ("memo_evictions", self.memo_evictions.into()),
+        ])
+    }
+
+    /// Inverse of [`StatusReport::to_json`]. Every field is required,
+    /// and an error names the field that is missing or mistyped.
+    pub fn from_json(j: &Json) -> Result<StatusReport, String> {
+        let circuit = |c: &Json| match c {
+            Json::Str(s) => Ok(s.clone()),
+            _ => Err("non-string entry in field 'open_circuits'".to_string()),
+        };
+        let circuits = j.arr("open_circuits")?.iter().map(circuit);
+        let tenants = j.arr("tenants")?.iter().map(TenantStat::from_json);
+        Ok(StatusReport {
+            queued: j.num("queued")?,
+            running: j.num("running")?,
+            completed: j.num("completed")?,
+            rejected: j.num("rejected")?,
+            shed: j.num("shed")?,
+            open_circuits: circuits.collect::<Result<_, _>>()?,
+            tenants: tenants.collect::<Result<_, _>>()?,
+            dispatches: j.num("dispatches")?,
+            dispatched_jobs: j.num("dispatched_jobs")?,
+            accepts: j.num("accepts")?,
+            fsyncs: j.num("fsyncs")?,
+            window_flushes: j.num("window_flushes")?,
+            solo_flushes: j.num("solo_flushes")?,
+            cache_corrupt: j.num("cache_corrupt")?,
+            dedup_hits: j.num("dedup_hits")?,
+            memo_entries: j.num("memo_entries")?,
+            memo_bytes: j.num("memo_bytes")?,
+            memo_evictions: j.num("memo_evictions")?,
+        })
+    }
 }
 
 /// A server response.
@@ -641,53 +722,7 @@ impl Response {
                 };
                 format!("{MAGIC} done {id} {} {detail}", done.code())
             }
-            Response::Status(s) => {
-                let circuits: Vec<String> = s.open_circuits.iter().map(|c| esc_field(c)).collect();
-                let tenants: Vec<String> = s
-                    .tenants
-                    .iter()
-                    .map(|t| {
-                        format!(
-                            "{}:{}:{}:{}:{}:{}",
-                            esc_field(&t.tenant),
-                            t.queued,
-                            t.running,
-                            t.served,
-                            t.shed,
-                            t.p99_ms
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{MAGIC} status {} {} {} {} {} {} {} {}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}",
-                    s.queued,
-                    s.running,
-                    s.completed,
-                    s.rejected,
-                    s.shed,
-                    if circuits.is_empty() {
-                        "-".to_string()
-                    } else {
-                        circuits.join(",")
-                    },
-                    if tenants.is_empty() {
-                        "-".to_string()
-                    } else {
-                        tenants.join(",")
-                    },
-                    s.dispatches,
-                    s.dispatched_jobs,
-                    s.accepts,
-                    s.fsyncs,
-                    s.window_flushes,
-                    s.solo_flushes,
-                    s.cache_corrupt,
-                    s.dedup_hits,
-                    s.memo_entries,
-                    s.memo_bytes,
-                    s.memo_evictions
-                )
-            }
+            Response::Status(s) => format!("{MAGIC} status {}", s.to_json().compact()),
             Response::Pong => format!("{MAGIC} pong"),
             Response::Bye { draining } => format!("{MAGIC} bye {draining}"),
         }
@@ -695,6 +730,17 @@ impl Response {
 
     /// Decode a payload line. Structured errors, no panics.
     pub fn decode(line: &str) -> Result<Response, String> {
+        // The status object may hold spaces inside its strings, so it is
+        // parsed whole rather than split into tokens.
+        if let Some(report) = line
+            .strip_prefix(MAGIC)
+            .and_then(|l| l.strip_prefix(" status "))
+        {
+            return parse_json(report)
+                .and_then(|j| StatusReport::from_json(&j))
+                .map(Response::Status)
+                .map_err(|e| format!("bad status report: {e}"));
+        }
         let toks: Vec<&str> = line.split(' ').collect();
         if toks.first() != Some(&MAGIC) {
             return Err(format!("response does not start with '{MAGIC}'"));
@@ -738,61 +784,6 @@ impl Response {
                     other => return Err(format!("unknown done status '{other}'")),
                 };
                 Ok(Response::Done(id, done))
-            }
-            Some("status") if toks.len() == 10 => {
-                let open_circuits = if toks[7] == "-" {
-                    Vec::new()
-                } else {
-                    toks[7]
-                        .split(',')
-                        .map(|c| unesc(c).ok_or("bad circuit escape".to_string()))
-                        .collect::<Result<_, _>>()?
-                };
-                let tenants = if toks[8] == "-" {
-                    Vec::new()
-                } else {
-                    toks[8]
-                        .split(',')
-                        .map(|entry| {
-                            let f: Vec<&str> = entry.split(':').collect();
-                            if f.len() != 6 {
-                                return Err(format!("bad tenant stat '{entry}'"));
-                            }
-                            Ok(TenantStat {
-                                tenant: unesc(f[0]).ok_or("bad tenant escape")?,
-                                queued: num(f[1])?,
-                                running: num(f[2])?,
-                                served: num(f[3])?,
-                                shed: num(f[4])?,
-                                p99_ms: num(f[5])?,
-                            })
-                        })
-                        .collect::<Result<_, _>>()?
-                };
-                let batch: Vec<&str> = toks[9].split(':').collect();
-                if batch.len() != 11 {
-                    return Err(format!("bad batch counters '{}'", toks[9]));
-                }
-                Ok(Response::Status(StatusReport {
-                    queued: num(toks[2])?,
-                    running: num(toks[3])?,
-                    completed: num(toks[4])?,
-                    rejected: num(toks[5])?,
-                    shed: num(toks[6])?,
-                    open_circuits,
-                    tenants,
-                    dispatches: num(batch[0])?,
-                    dispatched_jobs: num(batch[1])?,
-                    accepts: num(batch[2])?,
-                    fsyncs: num(batch[3])?,
-                    window_flushes: num(batch[4])?,
-                    solo_flushes: num(batch[5])?,
-                    cache_corrupt: num(batch[6])?,
-                    dedup_hits: num(batch[7])?,
-                    memo_entries: num(batch[8])?,
-                    memo_bytes: num(batch[9])?,
-                    memo_evictions: num(batch[10])?,
-                }))
             }
             Some("pong") if toks.len() == 2 => Ok(Response::Pong),
             Some("bye") if toks.len() == 3 => Ok(Response::Bye {
@@ -894,8 +885,8 @@ mod tests {
             assert_eq!(Request::decode(&req.encode()).as_ref(), Ok(&req));
         }
         assert!(Request::decode("hq0 status").is_err());
-        assert!(Request::decode("hq1 frobnicate").is_err());
-        assert!(Request::decode("hq1 wait nope").is_err());
+        assert!(Request::decode("hq2 frobnicate").is_err());
+        assert!(Request::decode("hq2 wait nope").is_err());
     }
 
     #[test]
@@ -935,44 +926,17 @@ mod tests {
             ),
             Response::Done(8, JobDone::Panicked("scripted panic".to_string())),
             Response::Done(10, JobDone::SimError("deadlock at t=3".to_string())),
+            // Names with spaces, separators and the `-` sentinel; the
+            // root `tests/service.rs` proptest covers arbitrary reports.
             Response::Status(StatusReport {
-                queued: 2,
-                running: 1,
-                completed: 40,
-                rejected: 3,
-                shed: 7,
-                open_circuits: vec!["class a".to_string(), "class b".to_string()],
-                tenants: vec![
-                    TenantStat {
-                        tenant: "paced".to_string(),
-                        queued: 1,
-                        running: 1,
-                        served: 20,
-                        shed: 0,
-                        p99_ms: 12,
-                    },
-                    // Hostile tenant name: separators and spaces must
-                    // survive the colon/comma-structured wire field.
-                    TenantStat {
-                        tenant: "a:b,c d".to_string(),
-                        queued: 1,
-                        running: 0,
-                        served: 20,
-                        shed: 7,
-                        p99_ms: 440,
-                    },
-                ],
-                dispatches: 11,
-                dispatched_jobs: 40,
-                accepts: 43,
-                fsyncs: 9,
-                window_flushes: 6,
-                solo_flushes: 3,
-                cache_corrupt: 2,
-                dedup_hits: 5,
-                memo_entries: 158,
-                memo_bytes: 14_400_000,
-                memo_evictions: 3,
+                open_circuits: vec!["class a".to_string(), "-".to_string()],
+                tenants: vec![TenantStat {
+                    tenant: "a:b,c d".to_string(),
+                    p99_ms: 440,
+                    ..TenantStat::default()
+                }],
+                memo_bytes: u64::MAX,
+                ..StatusReport::default()
             }),
             Response::Status(StatusReport::default()),
             Response::Pong,
@@ -980,21 +944,21 @@ mod tests {
         ] {
             assert_eq!(Response::decode(&resp.encode()).as_ref(), Ok(&resp));
         }
-        assert!(Response::decode("hq1 done 1 maybe x").is_err());
+        assert!(Response::decode("hq2 done 1 maybe x").is_err());
     }
 
     #[test]
     fn frame_bufs_reuse_across_frames() {
         let mut wire = Vec::new();
         let mut bufs = FrameBufs::default();
-        write_frame_into(&mut wire, &mut bufs, "hq1 ping").unwrap();
-        write_frame_into(&mut wire, &mut bufs, "hq1 status").unwrap();
+        write_frame_into(&mut wire, &mut bufs, "hq2 ping").unwrap();
+        write_frame_into(&mut wire, &mut bufs, "hq2 status").unwrap();
         write_frame_into(&mut wire, &mut bufs, "").unwrap();
         let mut r = std::io::BufReader::new(&wire[..]);
-        assert_eq!(read_frame_into(&mut r, &mut bufs).unwrap(), Some("hq1 ping"));
+        assert_eq!(read_frame_into(&mut r, &mut bufs).unwrap(), Some("hq2 ping"));
         assert_eq!(
             read_frame_into(&mut r, &mut bufs).unwrap(),
-            Some("hq1 status")
+            Some("hq2 status")
         );
         // A shorter frame after a longer one must not see stale bytes.
         assert_eq!(read_frame_into(&mut r, &mut bufs).unwrap(), Some(""));
@@ -1011,10 +975,10 @@ mod tests {
     #[test]
     fn frames_round_trip_and_reject_torn_input() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, "hq1 status").unwrap();
+        write_frame(&mut buf, "hq2 status").unwrap();
         write_frame(&mut buf, "").unwrap();
         let mut r = std::io::BufReader::new(&buf[..]);
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("hq1 status"));
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("hq2 status"));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
 

@@ -2,10 +2,11 @@
 //! tag-checked line cursor.
 //!
 //! The scenario cache, the service journal and the wire protocol are
-//! line formats, not JSON: their bytes are pinned by wire compatibility
-//! with deployed peers and by golden digests, so they keep their own
-//! small encoding. The building blocks live here once and are shared
-//! by:
+//! line formats: their bytes are pinned by wire compatibility with
+//! deployed peers and by golden digests, so they keep their own small
+//! encoding. The exception is the wire protocol's `status` answer,
+//! whose payload is one [`hq_des::json`] object. The building blocks
+//! live here once and are shared by:
 //!
 //! * the scenario-cache entries ([`crate::scenario`]) — percent
 //!   escaping + the tag-checked line [`Cursor`],

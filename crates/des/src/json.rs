@@ -4,7 +4,8 @@
 //! written with [`Json::pretty`]: containers at depth 0 and 1 put one
 //! entry per line (two-space indent), deeper ones stay inline with
 //! `", "` and `": "`, and the document ends with a newline. Chrome
-//! traces use [`Json::compact`]: `,` and `:`, no whitespace. A
+//! traces and the service's `status` answer use [`Json::compact`]: `,`
+//! and `:`, no whitespace. A
 //! non-finite float is written as `null`. Strings escape `\`, `"` and
 //! every control character; [`parse_json`] reads back every escape the
 //! writer emits and is total: malformed input is an `Err`, never a

@@ -9,7 +9,6 @@
 //!   FIFO tie-breaking and O(log n) cancellation,
 //! * [`DetRng`] — a seedable, forkable random-number generator so every
 //!   simulation run is exactly reproducible,
-//! * [`stats`] — online statistics, histograms and percentile summaries,
 //! * [`trace`] — span traces with an ASCII Gantt renderer (used to
 //!   regenerate the paper's Visual-Profiler-style timeline figures),
 //! * [`json`] — the workspace's one JSON value, writer and parser, and
@@ -36,7 +35,6 @@ pub mod json;
 pub mod observe;
 pub mod record;
 pub mod rng;
-pub mod stats;
 pub mod time;
 pub mod trace;
 
@@ -52,7 +50,6 @@ pub mod prelude {
     pub use crate::observe::TransitionRing;
     pub use crate::record::{TimeSeries, Utilization};
     pub use crate::rng::DetRng;
-    pub use crate::stats::{Histogram, OnlineStats};
     pub use crate::time::{Dur, SimTime};
     pub use crate::trace::{Span, SpanKind, TraceLog};
 }

@@ -1,7 +1,6 @@
 //! Property-based tests of the simulation toolkit's core invariants.
 
 use hq_des::prelude::*;
-use hq_des::stats::{geomean, percentile};
 use hq_des::time::{Dur, SimTime};
 use proptest::prelude::*;
 
@@ -94,48 +93,6 @@ proptest! {
         let expected = sorted.iter().rfind(|&&(t, _)| t <= query).map(|&(_, v)| v);
         // The series compacts redundant values, but the *value* must match.
         prop_assert_eq!(s.value_at(SimTime::from_ns(query)), expected);
-    }
-
-    /// Merged statistics equal sequentially accumulated statistics.
-    #[test]
-    fn stats_merge_equivalence(
-        xs in proptest::collection::vec(-1e6f64..1e6, 0..100),
-        ys in proptest::collection::vec(-1e6f64..1e6, 0..100),
-    ) {
-        let mut a = OnlineStats::new();
-        xs.iter().for_each(|&x| a.push(x));
-        let mut b = OnlineStats::new();
-        ys.iter().for_each(|&y| b.push(y));
-        a.merge(&b);
-        let mut whole = OnlineStats::new();
-        xs.iter().chain(ys.iter()).for_each(|&v| whole.push(v));
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.variance() - whole.variance()).abs()
-            <= 1e-5 * (1.0 + whole.variance().abs()));
-    }
-
-    /// Percentiles stay within the sample range and are monotone in q.
-    #[test]
-    fn percentile_bounds_and_monotone(xs in proptest::collection::vec(-1e3f64..1e3, 1..200)) {
-        let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut prev = f64::NEG_INFINITY;
-        for q in [0.0, 0.25, 0.5, 0.75, 0.9, 1.0] {
-            let p = percentile(&xs, q).unwrap();
-            prop_assert!(p >= lo && p <= hi);
-            prop_assert!(p >= prev, "percentile not monotone in q");
-            prev = p;
-        }
-    }
-
-    /// Geomean of positive values lies between min and max.
-    #[test]
-    fn geomean_bounds(xs in proptest::collection::vec(0.001f64..1e4, 1..100)) {
-        let g = geomean(&xs).unwrap();
-        let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(g >= lo * 0.999 && g <= hi * 1.001, "geomean {g} outside [{lo}, {hi}]");
     }
 
     /// Shuffle produces a permutation, deterministic per seed.

@@ -431,6 +431,47 @@ fn submit_timeout_ms(cli: &Cli) -> u64 {
         .unwrap_or(120_000)
 }
 
+/// The text `submit --status` prints for one status report.
+fn render_status(s: &hq_bench::service::StatusReport) -> String {
+    let mut out = format!(
+        "queued {} running {} completed {} rejected {} shed {}\nopen circuits: {}",
+        s.queued,
+        s.running,
+        s.completed,
+        s.rejected,
+        s.shed,
+        if s.open_circuits.is_empty() {
+            "none".to_string()
+        } else {
+            s.open_circuits.join(", ")
+        }
+    );
+    out.push_str(&format!(
+        "\nbatch: dispatches {} jobs {}",
+        s.dispatches, s.dispatched_jobs
+    ));
+    let per_accept = if s.accepts > 0 {
+        s.fsyncs as f64 / s.accepts as f64
+    } else {
+        0.0
+    };
+    out.push_str(&format!(
+        "\njournal: accepts {} fsyncs {} ({:.2} per accept) window {} solo {}",
+        s.accepts, s.fsyncs, per_accept, s.window_flushes, s.solo_flushes
+    ));
+    out.push_str(&format!(
+        "\nintegrity: cache_corrupt {} dedup_hits {} memo_entries {} memo_bytes {} memo_evictions {}",
+        s.cache_corrupt, s.dedup_hits, s.memo_entries, s.memo_bytes, s.memo_evictions
+    ));
+    for t in &s.tenants {
+        out.push_str(&format!(
+            "\ntenant {}: queued {} running {} served {} shed {} p99 {} ms",
+            t.tenant, t.queued, t.running, t.served, t.shed, t.p99_ms
+        ));
+    }
+    out
+}
+
 /// `hyperq submit`: talk to a running server (submit / status /
 /// shutdown), or with `--direct` run the job in-process and print the
 /// artifact bytes — the reference output the CI crash-recovery gate
@@ -452,45 +493,7 @@ fn cmd_submit(cli: &Cli) -> Result<String, String> {
     client.set_read_timeout(Some(std::time::Duration::from_millis(submit_timeout_ms(cli))))?;
     if cli.submit_status {
         return match client.call(&Request::Status)? {
-            Response::Status(s) => {
-                let mut out = format!(
-                    "queued {} running {} completed {} rejected {} shed {}\nopen circuits: {}",
-                    s.queued,
-                    s.running,
-                    s.completed,
-                    s.rejected,
-                    s.shed,
-                    if s.open_circuits.is_empty() {
-                        "none".to_string()
-                    } else {
-                        s.open_circuits.join(", ")
-                    }
-                );
-                out.push_str(&format!(
-                    "\nbatch: dispatches {} jobs {}",
-                    s.dispatches, s.dispatched_jobs
-                ));
-                let per_accept = if s.accepts > 0 {
-                    s.fsyncs as f64 / s.accepts as f64
-                } else {
-                    0.0
-                };
-                out.push_str(&format!(
-                    "\njournal: accepts {} fsyncs {} ({:.2} per accept) window {} solo {}",
-                    s.accepts, s.fsyncs, per_accept, s.window_flushes, s.solo_flushes
-                ));
-                out.push_str(&format!(
-                    "\nintegrity: cache_corrupt {} dedup_hits {} memo_entries {} memo_bytes {} memo_evictions {}",
-                    s.cache_corrupt, s.dedup_hits, s.memo_entries, s.memo_bytes, s.memo_evictions
-                ));
-                for t in &s.tenants {
-                    out.push_str(&format!(
-                        "\ntenant {}: queued {} running {} served {} shed {} p99 {} ms",
-                        t.tenant, t.queued, t.running, t.served, t.shed, t.p99_ms
-                    ));
-                }
-                Ok(out)
-            }
+            Response::Status(s) => Ok(render_status(&s)),
             other => Err(format!("unexpected response: {other:?}")),
         };
     }
@@ -800,6 +803,52 @@ mod tests {
         assert_eq!(format!("{a}\n"), direct);
         // A scripted-panic job has no artifact to print.
         assert!(run("submit --direct -w nn --panic").is_err());
+    }
+
+    #[test]
+    fn submit_status_text_is_pinned() {
+        use hq_bench::service::{StatusReport, TenantStat};
+        let tenant = |name: &str, queued, running, shed, p99_ms| TenantStat {
+            tenant: name.to_string(),
+            queued,
+            running,
+            served: 20,
+            shed,
+            p99_ms,
+        };
+        let report = StatusReport {
+            queued: 2,
+            running: 1,
+            completed: 40,
+            rejected: 3,
+            shed: 7,
+            open_circuits: vec!["wl=needle ns=4".to_string()],
+            tenants: vec![tenant("flood", 1, 0, 7, 440), tenant("paced", 1, 1, 0, 12)],
+            dispatches: 40,
+            dispatched_jobs: 40,
+            accepts: 43,
+            fsyncs: 9,
+            window_flushes: 6,
+            solo_flushes: 3,
+            cache_corrupt: 2,
+            dedup_hits: 5,
+            memo_entries: 158,
+            memo_bytes: 14_400_000,
+            memo_evictions: 3,
+        };
+        // ci.sh greps these lines; any change here breaks its gates.
+        assert_eq!(
+            render_status(&report),
+            "queued 2 running 1 completed 40 rejected 3 shed 7\n\
+             open circuits: wl=needle ns=4\n\
+             batch: dispatches 40 jobs 40\n\
+             journal: accepts 43 fsyncs 9 (0.21 per accept) window 6 solo 3\n\
+             integrity: cache_corrupt 2 dedup_hits 5 memo_entries 158 memo_bytes 14400000 memo_evictions 3\n\
+             tenant flood: queued 1 running 0 served 20 shed 7 p99 440 ms\n\
+             tenant paced: queued 1 running 1 served 20 shed 0 p99 12 ms"
+        );
+        let empty = render_status(&StatusReport::default());
+        assert!(empty.contains("none\n") && empty.contains("(0.00 per"));
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! Unix-domain socket.
 
 use hq_bench::scenario::{self, MEMO_BUDGET};
-use hq_bench::service::protocol::{read_frame, write_frame};
+use hq_bench::service::protocol::{read_frame, write_frame, MAGIC};
 use hq_bench::service::{
     config_for, run_job_direct, Client, JobDone, JobSpec, Journal, Reject, Request, Response,
-    ServeOptions, Server,
+    ServeOptions, Server, StatusReport, TenantStat,
 };
+use hq_des::json::Json;
 use hq_workloads::apps::AppKind;
+use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -1566,4 +1568,100 @@ fn repeated_server_runs_leak_no_file_descriptors() {
         after <= before + 5,
         "{before} fds open before 50 server runs, {after} after"
     );
+}
+
+/// Names made of what a token line escapes or reserves: separators,
+/// `%`, the `-` sentinel, quotes, `\`, newlines and non-ASCII text.
+fn hostile_name() -> impl Strategy<Value = String> {
+    let pieces = vec![
+        "-", "", "%", ":", ",", " ", "\"", "\\", "\n", "é", "日本", "flood",
+    ];
+    proptest::collection::vec(proptest::sample::select(pieces), 0..4).prop_map(|p| p.concat())
+}
+
+/// Counters over the whole `u64` range, small values and `0` included.
+fn counter() -> impl Strategy<Value = u64> {
+    any::<u64>().prop_map(|x| x.checked_shr((x % 65) as u32).unwrap_or(0))
+}
+
+fn status_report() -> impl Strategy<Value = StatusReport> {
+    let tenant = (hostile_name(), proptest::collection::vec(counter(), 5..6)).prop_map(|(t, c)| {
+        TenantStat {
+            tenant: t,
+            queued: c[0],
+            running: c[1],
+            served: c[2],
+            shed: c[3],
+            p99_ms: c[4],
+        }
+    });
+    (
+        proptest::collection::vec(counter(), 16..17),
+        proptest::collection::vec(hostile_name(), 0..5),
+        proptest::collection::vec(tenant, 0..5),
+    )
+        .prop_map(|(c, open_circuits, tenants)| StatusReport {
+            queued: c[0],
+            running: c[1],
+            completed: c[2],
+            rejected: c[3],
+            shed: c[4],
+            open_circuits,
+            tenants,
+            dispatches: c[5],
+            dispatched_jobs: c[6],
+            accepts: c[7],
+            fsyncs: c[8],
+            window_flushes: c[9],
+            solo_flushes: c[10],
+            cache_corrupt: c[11],
+            dedup_hits: c[12],
+            memo_entries: c[13],
+            memo_bytes: c[14],
+            memo_evictions: c[15],
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn status_reports_round_trip_over_the_wire(r in status_report().prop_map(Response::Status)) {
+        prop_assert_eq!(Response::decode(&r.encode()), Ok(r));
+    }
+}
+
+#[test]
+fn status_decode_keeps_a_dash_circuit_and_names_a_missing_field() {
+    // A breaker class named like the empty-list sentinel stays a class.
+    let r = Response::Status(StatusReport {
+        open_circuits: vec!["-".into()],
+        ..StatusReport::default()
+    });
+    assert_eq!(Response::decode(&r.encode()), Ok(r));
+
+    let report = StatusReport {
+        open_circuits: vec!["é:,\n".into()],
+        tenants: vec![TenantStat::default()],
+        ..StatusReport::default()
+    };
+    let Json::Obj(fields) = report.to_json() else {
+        panic!("a status report is an object")
+    };
+    for (i, (key, _)) in fields.iter().enumerate() {
+        let mut less = fields.clone();
+        less.remove(i);
+        let frame = format!("{MAGIC} status {}", Json::Obj(less).compact());
+        let err = Response::decode(&frame).expect_err(key);
+        assert!(err.contains(&format!("'{key}'")), "{key}: {err}");
+    }
+    let full = Response::Status(report).encode();
+    let err = Response::decode(&full.replace("p99_ms", "p99")).unwrap_err();
+    assert!(err.contains("'p99_ms'"), "{err}");
+
+    // Every truncation is an error, never a panic or a shorter report.
+    for cut in (0..full.len()).filter(|&c| full.is_char_boundary(c)) {
+        let prefix = &full[..cut];
+        assert!(Response::decode(prefix).is_err(), "{prefix}");
+    }
 }
